@@ -27,9 +27,7 @@ from .grover import (
 )
 from .statevector import (
     HADAMARD,
-    PAULI_X,
     SizeLimitError,
-    StateVector,
     apply_one_qubit_gate,
     phase_flip_indices,
     uniform_superposition,
@@ -162,17 +160,15 @@ def optimal_phase_search(n_qubits: int) -> float:
     marked), but only the part of the diffusion the angle reaches is run
     per angle.
 
-    The diffusion is H^n X^n C-U X^n H^n, and only the fully-controlled
-    gate U = gate_zr_y(theta) depends on the angle; it rotates the pair of
-    amplitudes at indices 2**(n-1) - 1 and 2**n - 1. Cached once per n:
-    H^n X^n of the post-oracle state, and the input of each closing H
-    layer with U left out. The closing X^n is the index reversal
-    x -> x ^ (2**n - 1) (X's 0/1 matmul moves amplitudes exactly), so the
-    rotated pair lands at indices 0 and 2**(n-1). Recomputed per angle: the
-    rotated pair, then at closing H layer q only the 2**(q+1)-amplitude
-    blocks the pair has reached so far, two from q = 0 to n - 2 and the
-    whole register at q = n - 1. Grid angles go in batches of at most
-    SEARCH_BATCH_AMPLITUDES amplitudes, which bounds peak memory.
+    modified_diffusion is H^n, then gate_zr_y(theta) on the amplitude pair
+    at indices 2**(n-1) and 0, then H^n; only that pair depends on the
+    angle. Cached once per n: H^n of the post-oracle state, and the input
+    of each closing H layer with the pair left unrotated. Recomputed per
+    angle: the rotated pair, then at closing H layer q only the
+    2**(q+1)-amplitude blocks the pair has reached so far, two from q = 0
+    to n - 2 and the whole register at q = n - 1. Grid angles go in
+    batches of at most SEARCH_BATCH_AMPLITUDES amplitudes, which bounds
+    peak memory.
 
     Each layer is np.matmul(H, blocks.reshape(k, 2, 2**q)), the per-item
     (2,2)@(2,2**q) product apply_one_qubit_gate computes. BLAS rounding
@@ -205,13 +201,9 @@ def _first_iteration_objective(n_qubits: int):
     dim = 1 << n_qubits
     half = dim >> 1
     state = phase_flip_indices(uniform_superposition(n_qubits), {dim - 1})
-    for gate in (HADAMARD, PAULI_X):
-        for q in range(n_qubits):
-            state = apply_one_qubit_gate(state, q, gate)
-    a0, a1 = state.amps[half - 1], state.amps[dim - 1]  # the pair U rotates
-    # Closing X^n; copied so every layer gets the contiguous input the
-    # full simulation's matmul gets.
-    state = StateVector(n_qubits, state.amps[::-1].copy())
+    for q in range(n_qubits):
+        state = apply_one_qubit_gate(state, q, HADAMARD)
+    a0, a1 = state.amps[half], state.amps[0]  # the pair gate_zr_y rotates
     layer_inputs = []
     for q in range(n_qubits - 1):
         layer_inputs.append(state.amps.reshape(2, half))
@@ -220,7 +212,7 @@ def _first_iteration_objective(n_qubits: int):
 
     def probabilities(thetas: np.ndarray) -> np.ndarray:
         # Entries [[c, s], [s, -c]] of gate_zr_y(theta), combined as
-        # apply_controlled_one_qubit_gate combines them.
+        # modified_diffusion combines them.
         c = np.array([math.cos(t / 2.0) for t in thetas], dtype=np.complex128)
         s = np.array([math.sin(t / 2.0) for t in thetas], dtype=np.complex128)
         # Row 0 is the run of indices from 0, row 1 the run from 2**(n-1).

@@ -41,7 +41,7 @@ from .grover import (
     fixed_phase,
     run_grover,
 )
-from .statevector import MAX_QUBITS, SizeLimitError
+from .statevector import SizeLimitError, check_register_size
 
 # Statevector cross-check column in `recurrence` is produced up to this size;
 # beyond it only the recurrence column is emitted.
@@ -231,8 +231,7 @@ def cmd_run(qubits, marked, iterations, schedule_name, interpretation, rotation_
     """Simulate one search run and emit its per-iteration trace."""
     schedule = _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order)
     if marked is None:
-        if not 1 <= qubits <= MAX_QUBITS:
-            raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {qubits}")
+        check_register_size(qubits)
         marked = frozenset({(1 << qubits) - 1})
     config = GroverConfig(qubits, MarkedSet(marked), schedule, iterations)
     trace = run_grover(config)
@@ -394,8 +393,7 @@ def cmd_recurrence(qubits, iterations, fmt, out):
 def cmd_curve(qubits, iterations, with_model, schedule_name, interpretation, rotation_target, hybrid_order, fmt, out):
     """Success probability per iteration (iteration 0 = initial state)."""
     schedule = _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order)
-    if not 1 <= qubits <= MAX_QUBITS:
-        raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {qubits}")
+    check_register_size(qubits)
     marked = MarkedSet(frozenset({(1 << qubits) - 1}))
     trace = run_grover(GroverConfig(qubits, marked, schedule, iterations))
     model = SuccessModel.for_search(qubits, marked.count)

@@ -4,8 +4,9 @@ The standard diffusion reflects every amplitude about the mean. The modified
 schedules replace the controlled phase flip inside the gate-level diffusion
 with a controlled rotation whose angle is set per run (fixed-eq9), per
 iteration (adaptive-eq10), or switches gate family after the first iteration
-(hybrid-eq11-12). All operators here drop an overall -1 factor, which leaves
-every probability unchanged.
+(hybrid-eq11-12); the standard schedule is the zero angle of the same
+operator. All operators here drop an overall -1 factor, which leaves every
+probability unchanged.
 
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
@@ -25,14 +26,11 @@ import numpy as np
 
 from .statevector import (
     HADAMARD,
-    MAX_QUBITS,
-    PAULI_X,
-    PAULI_Z,
+    NormDriftError,
     OneQubitGate,
-    SizeLimitError,
     StateVector,
-    apply_controlled_one_qubit_gate,
     apply_one_qubit_gate,
+    check_register_size,
     phase_flip_indices,
     target_probability,
     uniform_superposition,
@@ -197,43 +195,35 @@ def standard_diffusion_mean(state: StateVector) -> StateVector:
     return StateVector(state.n_qubits, 2.0 * m - state.amps)
 
 
-def standard_diffusion_gates(state: StateVector, rotation_target: int | None = None) -> StateVector:
-    """Gate-level diffusion: H on all, X on all, fully controlled Z, X, H.
-
-    Equals standard_diffusion_mean up to an overall sign.
-    """
-    return _sandwiched_controlled(state, PAULI_Z, rotation_target)
-
-
 def modified_diffusion(
     state: StateVector,
     theta: float,
     inner_gate=gate_zr_y,
     rotation_target: int | None = None,
 ) -> StateVector:
-    """Diffusion with the controlled Z replaced by a controlled rotation.
+    """Diffusion H^n X^n C-U X^n H^n, with U = inner_gate(theta) on the
+    rotation target t, controlled by every other qubit.
 
     `inner_gate` is a constructor such as gate_zr_y, gate_ry_h or gate_hr_y;
-    theta = 0 with gate_zr_y reproduces standard_diffusion_gates exactly.
+    gate_zr_y(0) is exactly Z, giving the standard diffusion (equal to
+    standard_diffusion_mean up to an overall sign). X^n C-U X^n is U acting
+    on the amplitude pair (2**t, 0) alone, so that pair is updated between
+    the H layers. X's 0/1 matmul moves amplitudes exactly, so the result is
+    bit-identical to the gate-by-gate circuit.
     """
-    return _sandwiched_controlled(state, inner_gate(theta), rotation_target)
-
-
-def _sandwiched_controlled(
-    state: StateVector, inner: OneQubitGate, rotation_target: int | None
-) -> StateVector:
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
+    m = inner_gate(theta).matrix
     for q in range(n):
         state = apply_one_qubit_gate(state, q, HADAMARD)
-    for q in range(n):
-        state = apply_one_qubit_gate(state, q, PAULI_X)
-    controls = frozenset(range(n)) - {target}
-    state = apply_controlled_one_qubit_gate(state, controls, target, inner)
-    for q in range(n):
-        state = apply_one_qubit_gate(state, q, PAULI_X)
+    # The H layer's output is a fresh array, so updating it in place leaves
+    # the caller's state alone. Operand order as in
+    # apply_controlled_one_qubit_gate.
+    a0, a1 = state.amps[1 << target], state.amps[0]
+    state.amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
+    state.amps[0] = m[1, 0] * a0 + m[1, 1] * a1
     for q in range(n):
         state = apply_one_qubit_gate(state, q, HADAMARD)
     return state
@@ -262,10 +252,7 @@ class GroverConfig:
     max_iterations: int | None = None  # None -> default_max_iterations
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise SizeLimitError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        check_register_size(self.n_qubits)
         self.marked.validate_for(self.n_qubits)
         if self.schedule.kind is not ScheduleKind.STANDARD and self.n_qubits < 2:
             raise ValueError("modified schedules need at least 2 qubits")
@@ -288,7 +275,6 @@ class IterationRecord:
     theta_used: float
     target_probability: float
     mean_amplitude: float  # mean of the real parts, diagnostics only
-    max_nontarget_probability: float
 
 
 @dataclass
@@ -304,6 +290,7 @@ def run_grover(config: GroverConfig) -> RunTrace:
 
     Records target probability, applied angle and diagnostics after every
     iteration; the trace always spans exactly max_iterations records.
+    Raises NormDriftError if the squared norm leaves 1 by 1e-10 or more.
     """
     n = config.n_qubits
     schedule = config.schedule
@@ -318,41 +305,35 @@ def run_grover(config: GroverConfig) -> RunTrace:
             f"results for {marked.count} marked states are exploratory",
         )
 
-    nontarget_mask = np.ones(state.dim, dtype=bool)
-    nontarget_mask[list(marked.indices)] = False
+    marked_order = np.array(sorted(marked.indices))
 
     records = []
     for i in range(1, config.max_iterations + 1):
         state = apply_oracle(state, marked)
         theta = schedule_phase(schedule, n, i)
-        if schedule.kind is ScheduleKind.STANDARD:
-            state = standard_diffusion_gates(state, schedule.rotation_target)
-        else:
-            state = modified_diffusion(
-                state, theta, _inner_gate_for(schedule, i), schedule.rotation_target
-            )
+        state = modified_diffusion(
+            state, theta, _inner_gate_for(schedule, i), schedule.rotation_target
+        )
         probs = state.probabilities()
         total = float(probs.sum())
-        assert abs(total - 1.0) < 1e-10, f"statevector norm drifted to {total!r}"
+        if not abs(total - 1.0) < 1e-10:
+            raise NormDriftError(
+                f"statevector norm drifted to {total!r} at iteration {i}"
+            )
         records.append(
             IterationRecord(
                 iteration=i,
                 theta_used=theta,
-                target_probability=float(probs[~nontarget_mask].sum()),
+                target_probability=float(probs[marked_order].sum()),
                 mean_amplitude=float(np.mean(state.amps.real)),
-                max_nontarget_probability=float(probs[nontarget_mask].max()),
             )
         )
     return RunTrace(config, records, initial, notes)
 
 
 def _inner_gate_for(schedule: Schedule, iteration: int):
-    if schedule.kind in (ScheduleKind.FIXED, ScheduleKind.ADAPTIVE):
+    if schedule.kind is not ScheduleKind.HYBRID or iteration == 1:
         return gate_zr_y
-    if schedule.kind is ScheduleKind.HYBRID:
-        if iteration == 1:
-            return gate_zr_y
-        if schedule.hybrid_order is HybridOrder.H_THEN_RY:
-            return gate_ry_h
-        return gate_hr_y
-    raise ValueError(f"no inner gate for schedule kind {schedule.kind!r}")
+    if schedule.hybrid_order is HybridOrder.H_THEN_RY:
+        return gate_ry_h
+    return gate_hr_y

@@ -11,7 +11,6 @@ so callers check it instead of hiding it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -30,6 +29,16 @@ UNITARITY_TOL = 1e-12
 
 class SizeLimitError(ValueError):
     """Register size outside what the dense representation supports."""
+
+
+class NormDriftError(ValueError):
+    """A state's squared norm left 1 by more than the run's tolerance."""
+
+
+def check_register_size(n_qubits: int) -> None:
+    """Raise SizeLimitError unless 1 <= n_qubits <= MAX_QUBITS."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +76,7 @@ class StateVector:
 
     def __post_init__(self):
         self.n_qubits = int(self.n_qubits)
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise SizeLimitError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        check_register_size(self.n_qubits)
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
@@ -91,20 +97,14 @@ class StateVector:
 
 def uniform_superposition(n_qubits: int) -> StateVector:
     """All 2**n amplitudes equal to 1/sqrt(2**n)."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise SizeLimitError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
+    check_register_size(n_qubits)
     dim = 1 << n_qubits
     return StateVector(n_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
     """|index> as a statevector."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise SizeLimitError(
-            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}"
-        )
+    check_register_size(n_qubits)
     dim = 1 << n_qubits
     if not 0 <= index < dim:
         raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
@@ -153,7 +153,10 @@ def apply_controlled_one_qubit_gate(
     control_mask = 0
     for c in control_set:
         control_mask |= 1 << c
-    lower, upper = _controlled_pairs(state.dim, control_mask, 1 << target)
+    target_bit = 1 << target
+    idx = np.arange(state.dim)
+    lower = idx[((idx & control_mask) == control_mask) & ((idx & target_bit) == 0)]
+    upper = lower | target_bit
 
     m = gate.matrix
     out = state.amps.copy()
@@ -162,18 +165,6 @@ def apply_controlled_one_qubit_gate(
     out[lower] = m[0, 0] * a0 + m[0, 1] * a1
     out[upper] = m[1, 0] * a0 + m[1, 1] * a1
     return StateVector(n, out)
-
-
-@functools.lru_cache(maxsize=256)
-def _controlled_pairs(dim: int, control_mask: int, target_bit: int):
-    """Index pairs (target bit clear, set) with all control bits set.
-
-    Cached because diffusion operators reuse the same mask thousands of
-    times; callers only ever read the returned arrays.
-    """
-    idx = np.arange(dim)
-    lower = idx[((idx & control_mask) == control_mask) & ((idx & target_bit) == 0)]
-    return lower, lower | target_bit
 
 
 def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVector:

@@ -37,7 +37,6 @@ from groversim import (
     recurrence_table,
     run_grover,
     simulated_amplitude_series,
-    standard_diffusion_gates,
     standard_diffusion_mean,
     success_probability_standard,
     sweep_compare,
@@ -239,7 +238,7 @@ def test_criterion_7_property_bundle():
     for n in range(1, 11):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        gate_form = standard_diffusion_gates(state).amps
+        gate_form = modified_diffusion(state, 0.0).amps
         mean_form = standard_diffusion_mean(state).amps
         err = min(np.abs(gate_form - mean_form).max(), np.abs(gate_form + mean_form).max())
         if err >= 1e-10:

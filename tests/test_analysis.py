@@ -45,7 +45,7 @@ def synthetic_trace(probs):
         2, MarkedSet(frozenset({3})), max_iterations=max(len(probs), 1)
     )
     records = [
-        IterationRecord(i + 1, 0.0, p, 0.0, 0.0) for i, p in enumerate(probs)
+        IterationRecord(i + 1, 0.0, p, 0.0) for i, p in enumerate(probs)
     ]
     return RunTrace(config, records, 0.25)
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,19 @@ import pytest
 from conftest import csv_rows
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+REPO_DIR = Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_DIR / "results"
+
+
+def _reproduce_jobs():
+    path = REPO_DIR / "scripts" / "reproduce_results.py"
+    spec = importlib.util.spec_from_file_location("reproduce_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.JOBS
+
+
+REPRODUCE_JOBS = _reproduce_jobs()
 
 
 class TestRunCommand:
@@ -141,10 +154,14 @@ class TestAnglesCommand:
         result = cli("angles", "--qubits", "1..3")
         assert result.exit_code == 2
 
-    def test_full_table_matches_committed_results(self, cli):
-        result = cli("angles", "--qubits", "2..12")
-        assert result.exit_code == 0
-        assert result.output.encode() == (RESULTS_DIR / "angle_table.csv").read_bytes()
+    @pytest.mark.parametrize(
+        "filename, args", REPRODUCE_JOBS, ids=[name for name, _ in REPRODUCE_JOBS]
+    )
+    def test_full_table_matches_committed_results(self, cli, tmp_path, filename, args):
+        out = tmp_path / filename
+        result = cli(*args, "--out", out)
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes()
 
 
 class TestRecurrenceCommand:

@@ -1,32 +1,60 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groversim import (
+    HADAMARD,
+    PAULI_X,
     GroverConfig,
     HybridOrder,
     MarkedSet,
+    NormDriftError,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
     SizeLimitError,
+    StateVector,
     adaptive_phase,
+    apply_controlled_one_qubit_gate,
+    apply_one_qubit_gate,
     apply_oracle,
     default_max_iterations,
     fixed_phase,
+    gate_hr_y,
+    gate_ry_h,
     gate_zr_y,
     modified_diffusion,
     n_optimal_standard,
     run_grover,
     schedule_phase,
-    standard_diffusion_gates,
     standard_diffusion_mean,
     uniform_superposition,
 )
+from groversim import grover
 from conftest import random_state
 
 MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def gate_by_gate_diffusion(state, gate, target):
+    """H^n X^n C-U X^n H^n, one full-register gate pass at a time."""
+    n = state.n_qubits
+    for layer in (HADAMARD, PAULI_X):
+        for q in range(n):
+            state = apply_one_qubit_gate(state, q, layer)
+    controls = frozenset(range(n)) - {target}
+    state = apply_controlled_one_qubit_gate(state, controls, target, gate)
+    for layer in (PAULI_X, HADAMARD):
+        for q in range(n):
+            state = apply_one_qubit_gate(state, q, layer)
+    return state
 
 
 class TestFixedPhase:
@@ -122,7 +150,7 @@ class TestDiffusion:
 
     def test_gate_form_concentrates_n2_up_to_sign(self):
         state = apply_oracle(uniform_superposition(2), MarkedSet(frozenset({3})))
-        out = standard_diffusion_gates(state)
+        out = modified_diffusion(state, 0.0)
         err = min(
             np.abs(out.amps - np.array([0, 0, 0, 1])).max(),
             np.abs(out.amps + np.array([0, 0, 0, 1])).max(),
@@ -131,21 +159,28 @@ class TestDiffusion:
 
     def test_gate_form_fixes_uniform_up_to_sign(self):
         state = uniform_superposition(3)
-        out = standard_diffusion_gates(state)
+        out = modified_diffusion(state, 0.0)
         err = min(np.abs(out.amps - state.amps).max(), np.abs(out.amps + state.amps).max())
         assert err < 1e-10
 
     def test_gate_form_matches_mean_form(self):
         state = random_state(5, np.random.default_rng(21))
-        gate = standard_diffusion_gates(state).amps
+        gate = modified_diffusion(state, 0.0).amps
         mean = standard_diffusion_mean(state).amps
         assert min(np.abs(gate - mean).max(), np.abs(gate + mean).max()) < 1e-10
 
-    def test_modified_at_zero_equals_standard_bitwise(self):
-        state = random_state(4, np.random.default_rng(13))
-        assert np.array_equal(
-            modified_diffusion(state, 0.0).amps, standard_diffusion_gates(state).amps
-        )
+    @pytest.mark.parametrize("inner_gate", [gate_zr_y, gate_ry_h, gate_hr_y])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_update_equals_gate_by_gate_circuit_bitwise(self, inner_gate, n):
+        rng = np.random.default_rng(100 + n)
+        for target in range(n):
+            for theta in (0.0, fixed_phase(max(n, 2)), float(rng.uniform(-math.pi, math.pi))):
+                state = random_state(n, rng)
+                before = state.amps.copy()
+                out = modified_diffusion(state, theta, inner_gate, target)
+                expected = gate_by_gate_diffusion(state, inner_gate(theta), target)
+                assert np.array_equal(out.amps.view(np.float64), expected.amps.view(np.float64))
+                assert np.array_equal(state.amps.view(np.float64), before.view(np.float64))
 
     def test_modified_n2_zero_angle_reaches_certainty(self):
         state = apply_oracle(uniform_superposition(2), MarkedSet(frozenset({3})))
@@ -238,7 +273,6 @@ class TestRunGrover:
         for r in trace.records:
             assert r.theta_used == fixed_phase(4)
             assert 0.0 <= r.target_probability <= 1.0 + 1e-12
-            assert 0.0 <= r.max_nontarget_probability <= 1.0 + 1e-12
 
     def test_adaptive_schedule_theta_progression(self):
         schedule = Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.ADDITIVE)
@@ -257,6 +291,48 @@ class TestRunGrover:
         )
         trace = run_grover(config)
         assert trace.notes and "single marked state" in trace.notes[0]
+
+
+class TestNormDrift:
+    @staticmethod
+    def scaled_diffusion(factor):
+        def diffusion(state, *args):
+            return StateVector(state.n_qubits, state.amps * factor)
+
+        return diffusion
+
+    def test_drift_raises(self, monkeypatch):
+        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
+        with pytest.raises(NormDriftError, match="norm drifted"):
+            run_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
+
+    def test_drift_inside_tolerance_passes(self, monkeypatch):
+        factor = math.sqrt(1.0 + 5e-11)
+        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(factor))
+        trace = run_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=1))
+        assert len(trace.records) == 1
+
+    def test_drift_raises_under_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            from groversim import GroverConfig, MarkedSet, NormDriftError, StateVector, grover, run_grover
+            if __debug__:
+                raise SystemExit(2)  # not running under -O
+            grover.modified_diffusion = lambda s, *a: StateVector(s.n_qubits, 2 * s.amps)
+            try:
+                run_grover(GroverConfig(3, MarkedSet(frozenset({7})), max_iterations=1))
+            except NormDriftError:
+                raise SystemExit(0)
+            raise SystemExit(1)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestConfigValidation:
