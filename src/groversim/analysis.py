@@ -51,15 +51,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class RecurrenceState:
     """Amplitudes entering iteration i of standard search with one marked state.
 
-    `a` is the marked amplitude, `b` the shared unmarked amplitude, and `m`
-    the mean after the oracle flips a's sign (the mean the next reflection
-    uses). Row 1 is the uniform start, a = b = 1/sqrt(N).
+    `a` is the marked amplitude and `b` the shared unmarked amplitude. Row 1
+    is the uniform start, a = b = 1/sqrt(N).
     """
 
     iteration: int
     a: float
     b: float
-    m: float
 
 
 def recurrence_table(n_qubits: int, iterations: int) -> list[RecurrenceState]:
@@ -80,7 +78,7 @@ def recurrence_table(n_qubits: int, iterations: int) -> list[RecurrenceState]:
     rows = []
     for i in range(1, iterations + 1):
         m = ((big_n - 1.0) * b - a) / big_n
-        rows.append(RecurrenceState(iteration=i, a=a, b=b, m=m))
+        rows.append(RecurrenceState(iteration=i, a=a, b=b))
         a, b = 2.0 * m + a, 2.0 * m - b
     return rows
 
@@ -267,7 +265,9 @@ def find_peak_iteration(trace: RunTrace) -> tuple[int, float]:
 
 @dataclass
 class ComparisonRow:
-    n_qubits: int
+    """One register size of a sweep; the fields are the `sweep` columns, in order."""
+
+    n: int
     std_iters: int
     mod_iters: int
     difference: int
@@ -307,7 +307,7 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
         ratio = mod_iters / std_iters
         rows.append(
             ComparisonRow(
-                n_qubits=n,
+                n=n,
                 std_iters=std_iters,
                 mod_iters=mod_iters,
                 difference=std_iters - mod_iters,
@@ -319,7 +319,7 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
             )
         )
     average = fmean(r.improvement_pct for r in rows)
-    tail = [r.improvement_pct for r in rows if r.n_qubits > 2]
+    tail = [r.improvement_pct for r in rows if r.n > 2]
     return SweepReport(rows, average, fmean(tail) if tail else None)
 
 

@@ -14,13 +14,13 @@ import functools
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .analysis import (
+    MAX_RECURRENCE_QUBITS,
     MAX_SEARCH_QUBITS,
     SuccessModel,
     amplitude_ratio,
@@ -101,36 +101,48 @@ def _guarded(fn):
 
 
 def _schedule_options(fn):
-    fn = click.option(
+    """Add the four schedule flags; the command receives them as one `schedule`."""
+
+    @click.option(
+        "--schedule",
+        type=click.Choice([k.value for k in ScheduleKind]),
+        default=ScheduleKind.STANDARD.value,
+        show_default=True,
+        help="Diffusion-phase schedule.",
+    )
+    @click.option(
+        "--eq10-interpretation",
+        type=click.Choice([i.value for i in RatioInterpretation]),
+        default=RatioInterpretation.ADDITIVE.value,
+        show_default=True,
+        help="How adaptive-eq10 combines the growth term with the base angle.",
+    )
+    @click.option(
+        "--rotation-target",
+        type=int,
+        default=None,
+        help="Qubit carrying the rotated controlled gate (default: highest).",
+    )
+    @click.option(
         "--hybrid-order",
         type=click.Choice([o.value for o in HybridOrder]),
         default=HybridOrder.H_THEN_RY.value,
         show_default=True,
         help="Gate order after iteration 1 of the hybrid schedule.",
-    )(fn)
-    fn = click.option(
-        "--rotation-target",
-        type=int,
-        default=None,
-        help="Qubit carrying the rotated controlled gate (default: highest).",
-    )(fn)
-    fn = click.option(
-        "--eq10-interpretation",
-        "interpretation",
-        type=click.Choice([i.value for i in RatioInterpretation]),
-        default=RatioInterpretation.ADDITIVE.value,
-        show_default=True,
-        help="How adaptive-eq10 combines the growth term with the base angle.",
-    )(fn)
-    fn = click.option(
-        "--schedule",
-        "schedule_name",
-        type=click.Choice([k.value for k in ScheduleKind]),
-        default=ScheduleKind.STANDARD.value,
-        show_default=True,
-        help="Diffusion-phase schedule.",
-    )(fn)
-    return fn
+    )
+    @functools.wraps(fn)
+    def wrapper(schedule, eq10_interpretation, rotation_target, hybrid_order, **kwargs):
+        return fn(
+            schedule=Schedule(
+                kind=ScheduleKind(schedule),
+                interpretation=RatioInterpretation(eq10_interpretation),
+                rotation_target=rotation_target,
+                hybrid_order=HybridOrder(hybrid_order),
+            ),
+            **kwargs,
+        )
+
+    return wrapper
 
 
 def _output_options(fn):
@@ -148,15 +160,6 @@ def _output_options(fn):
         show_default=True,
     )(fn)
     return fn
-
-
-def _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order) -> Schedule:
-    return Schedule(
-        kind=ScheduleKind(schedule_name),
-        interpretation=RatioInterpretation(interpretation),
-        rotation_target=rotation_target,
-        hybrid_order=HybridOrder(hybrid_order),
-    )
 
 
 def _base_meta(command: str, schedule: Schedule | None = None) -> dict:
@@ -180,26 +183,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
+def _emit(rows, meta, fmt, out, csv_trailer=()):
+    """Serialize rows (dicts with one key order) as CSV or JSON.
 
-
-def _emit(columns, rows, meta, fmt, out, csv_trailer=()):
-    """Serialize rows (list of per-column dicts) as CSV or JSON."""
+    The key order of the first row gives the columns. Every command emits
+    at least one row, so the CSV header always exists.
+    """
     if fmt == "json":
-        payload = {
-            "meta": meta,
-            "rows": [{c: _json_value(r[c]) for c in columns} for r in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0].keys())
         for r in rows:
-            writer.writerow([_csv_cell(r[c]) for c in columns])
+            writer.writerow([_csv_cell(v) for v in r.values()])
         for extra in csv_trailer:
             writer.writerow([_csv_cell(v) for v in extra])
         text = buf.getvalue()
@@ -227,25 +224,13 @@ def main():
 @_schedule_options
 @_output_options
 @_guarded
-def cmd_run(qubits, marked, iterations, schedule_name, interpretation, rotation_target, hybrid_order, fmt, out):
+def cmd_run(qubits, marked, iterations, schedule, fmt, out):
     """Simulate one search run and emit its per-iteration trace."""
-    schedule = _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order)
     if marked is None:
         check_register_size(qubits)
         marked = frozenset({(1 << qubits) - 1})
     config = GroverConfig(qubits, MarkedSet(marked), schedule, iterations)
     trace = run_grover(config)
-
-    columns = ["iteration", "theta_used", "target_probability", "mean_amplitude"]
-    rows = [
-        {
-            "iteration": r.iteration,
-            "theta_used": r.theta_used,
-            "target_probability": r.target_probability,
-            "mean_amplitude": r.mean_amplitude,
-        }
-        for r in trace.records
-    ]
     meta = _base_meta("run", schedule)
     meta.update(
         qubits=qubits,
@@ -254,7 +239,7 @@ def cmd_run(qubits, marked, iterations, schedule_name, interpretation, rotation_
         initial_probability=trace.initial_probability,
         notes=list(trace.notes),
     )
-    _emit(columns, rows, meta, fmt, out)
+    _emit([vars(r) for r in trace.records], meta, fmt, out)
 
 
 @main.command(name="sweep")
@@ -262,57 +247,19 @@ def cmd_run(qubits, marked, iterations, schedule_name, interpretation, rotation_
 @_schedule_options
 @_output_options
 @_guarded
-def cmd_sweep(qubit_range, schedule_name, interpretation, rotation_target, hybrid_order, fmt, out):
+def cmd_sweep(qubit_range, schedule, fmt, out):
     """Compare standard vs scheduled peak iteration counts over a qubit range."""
-    schedule = _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order)
     report = sweep_compare(qubit_range[0], qubit_range[1], schedule)
-
-    columns = [
-        "n",
-        "std_iters",
-        "mod_iters",
-        "difference",
-        "ratio",
-        "improvement_pct",
-        "std_peak_prob",
-        "mod_peak_prob",
-        "schedule_used",
-    ]
-    rows = [
-        {
-            "n": r.n_qubits,
-            "std_iters": r.std_iters,
-            "mod_iters": r.mod_iters,
-            "difference": r.difference,
-            "ratio": r.ratio,
-            "improvement_pct": r.improvement_pct,
-            "std_peak_prob": r.std_peak_prob,
-            "mod_peak_prob": r.mod_peak_prob,
-            "schedule_used": r.schedule_used,
-        }
-        for r in report.rows
-    ]
     meta = _base_meta("sweep", schedule)
     meta.update(
         qubits=f"{qubit_range[0]}..{qubit_range[1]}",
         average_improvement_pct=report.average_improvement_pct,
         average_improvement_pct_excl_2q=report.average_improvement_pct_excl_2q,
     )
-    trailer = [
-        ["average_improvement_pct", "", "", "", "", report.average_improvement_pct, "", "", ""],
-        [
-            "average_improvement_pct_excl_2q",
-            "",
-            "",
-            "",
-            "",
-            report.average_improvement_pct_excl_2q,
-            "",
-            "",
-            "",
-        ],
-    ]
-    _emit(columns, rows, meta, fmt, out, csv_trailer=trailer)
+    # Each average sits under the improvement_pct column, the sixth of nine.
+    averages = ("average_improvement_pct", "average_improvement_pct_excl_2q")
+    trailer = [[name, "", "", "", "", meta[name], "", "", ""] for name in averages]
+    _emit([vars(r) for r in report.rows], meta, fmt, out, csv_trailer=trailer)
 
 
 @main.command(name="angles")
@@ -326,7 +273,9 @@ def cmd_angles(qubit_range, fmt, out):
     larger registers emit the closed form only.
     """
     lo, hi = qubit_range
-    columns = ["n", "half_angle_tangent", "phase_closed_form", "phase_search", "abs_difference"]
+    # The closed-form ceiling; from n = 55 on the angle rounds to pi/2 exactly.
+    if hi > MAX_RECURRENCE_QUBITS:
+        raise SizeLimitError(f"angles supports up to {MAX_RECURRENCE_QUBITS} qubits, got {hi}")
     rows = []
     for n in range(lo, hi + 1):
         closed = fixed_phase(n)
@@ -344,7 +293,7 @@ def cmd_angles(qubit_range, fmt, out):
         )
     meta = _base_meta("angles")
     meta.update(qubits=f"{lo}..{hi}")
-    _emit(columns, rows, meta, fmt, out)
+    _emit(rows, meta, fmt, out)
 
 
 @main.command(name="recurrence")
@@ -365,7 +314,6 @@ def cmd_recurrence(qubits, iterations, fmt, out):
         if qubits <= RECURRENCE_SIM_MAX_QUBITS
         else None
     )
-    columns = ["iteration", "amplitude_recurrence", "amplitude_statevector", "ratio", "model_ratio"]
     rows = []
     for pos, row in enumerate(table):
         ratio = table[pos + 1].a / row.a if pos + 1 < len(table) and row.a != 0.0 else None
@@ -380,7 +328,7 @@ def cmd_recurrence(qubits, iterations, fmt, out):
         )
     meta = _base_meta("recurrence")
     meta.update(qubits=qubits, iterations=iterations)
-    _emit(columns, rows, meta, fmt, out)
+    _emit(rows, meta, fmt, out)
 
 
 @main.command(name="curve")
@@ -390,17 +338,13 @@ def cmd_recurrence(qubits, iterations, fmt, out):
 @_schedule_options
 @_output_options
 @_guarded
-def cmd_curve(qubits, iterations, with_model, schedule_name, interpretation, rotation_target, hybrid_order, fmt, out):
+def cmd_curve(qubits, iterations, with_model, schedule, fmt, out):
     """Success probability per iteration (iteration 0 = initial state)."""
-    schedule = _build_schedule(schedule_name, interpretation, rotation_target, hybrid_order)
     check_register_size(qubits)
     marked = MarkedSet(frozenset({(1 << qubits) - 1}))
     trace = run_grover(GroverConfig(qubits, marked, schedule, iterations))
     model = SuccessModel.for_search(qubits, marked.count)
 
-    columns = ["iteration", "probability"]
-    if with_model:
-        columns += ["model_standard", "model_modified"]
     probabilities = [trace.initial_probability] + [r.target_probability for r in trace.records]
     rows = []
     for i, p in enumerate(probabilities):
@@ -411,7 +355,7 @@ def cmd_curve(qubits, iterations, with_model, schedule_name, interpretation, rot
         rows.append(row)
     meta = _base_meta("curve", schedule)
     meta.update(qubits=qubits, iterations=iterations, delta_theta=model.delta_theta)
-    _emit(columns, rows, meta, fmt, out)
+    _emit(rows, meta, fmt, out)
 
 
 if __name__ == "__main__":

@@ -271,6 +271,8 @@ class GroverConfig:
 
 @dataclass
 class IterationRecord:
+    """State after one iteration; the fields are the `run` columns, in order."""
+
     iteration: int
     theta_used: float
     target_probability: float

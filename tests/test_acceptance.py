@@ -177,7 +177,7 @@ def test_criterion_6_modified_iteration_table_reported():
         flag = "match" if row.mod_iters == expected else "MISMATCH"
         matches += row.mod_iters == expected
         print(
-            f"  n={row.n_qubits:2d} simulated={row.mod_iters:3d} reference={expected:3d} "
+            f"  n={row.n:2d} simulated={row.mod_iters:3d} reference={expected:3d} "
             f"[{flag}] peak_p={row.mod_peak_prob:.4f}"
         )
     print(

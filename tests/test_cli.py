@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,22 @@ def _reproduce_jobs():
 
 
 REPRODUCE_JOBS = _reproduce_jobs()
+
+SCHEDULE_FLAGS = ["--schedule", "--eq10-interpretation", "--rotation-target", "--hybrid-order"]
+OUTPUT_FLAGS = ["--format", "--out"]
+COMMAND_FLAGS = {
+    "run": ["--qubits", "--marked", "--iterations", *SCHEDULE_FLAGS, *OUTPUT_FLAGS],
+    "sweep": ["--qubits", *SCHEDULE_FLAGS, *OUTPUT_FLAGS],
+    "angles": ["--qubits", *OUTPUT_FLAGS],
+    "recurrence": ["--qubits", "--iterations", *OUTPUT_FLAGS],
+    "curve": ["--qubits", "--iterations", "--with-model", *SCHEDULE_FLAGS, *OUTPUT_FLAGS],
+}
+FLAG_DEFAULTS = {
+    "--schedule": "standard",
+    "--eq10-interpretation": "additive",
+    "--hybrid-order": "h-then-ry",
+    "--format": "csv",
+}
 
 
 class TestRunCommand:
@@ -154,6 +171,10 @@ class TestAnglesCommand:
         result = cli("angles", "--qubits", "1..3")
         assert result.exit_code == 2
 
+    def test_ceiling_is_the_recurrence_limit(self, cli):
+        assert cli("angles", "--qubits", "52..52").exit_code == 0
+        assert cli("angles", "--qubits", "53..53").exit_code == 3
+
     @pytest.mark.parametrize(
         "filename, args", REPRODUCE_JOBS, ids=[name for name, _ in REPRODUCE_JOBS]
     )
@@ -233,17 +254,49 @@ class TestFormatsAndDeterminism:
         for cell in out.splitlines()[1].split(","):
             assert " " not in cell
 
-    def test_json_round_trips_csv_cells(self, cli):
-        args = ("run", "--qubits", 5, "--schedule", "fixed-eq9", "--iterations", 4)
+    @pytest.mark.parametrize(
+        "args, trailer_rows",
+        [
+            (("run", "--qubits", 5, "--schedule", "fixed-eq9", "--iterations", 4), 0),
+            (("sweep", "--qubits", "2..4", "--schedule", "hybrid-eq11-12"), 2),
+            (("angles", "--qubits", "11..13"), 0),
+            (("recurrence", "--qubits", 5, "--iterations", 4), 0),
+            (("curve", "--qubits", 4, "--iterations", 3, "--schedule", "adaptive-eq10", "--with-model"), 0),
+        ],
+        ids=["run", "sweep", "angles", "recurrence", "curve"],
+    )
+    def test_json_round_trips_csv_cells(self, cli, args, trailer_rows):
         csv_out = cli(*args).output
         payload = json.loads(cli(*args, "--format", "json").output)
         header, rows = csv_rows(csv_out)
-        assert len(rows) == len(payload["rows"])
+        # the sweep's CSV trailer is checked against meta by TestSweepCommand
+        assert len(rows) == len(payload["rows"]) + trailer_rows
         for csv_row, json_row in zip(rows, payload["rows"]):
-            for column in header:
-                value = json_row[column]
-                expect = f"{value:.10g}" if isinstance(value, float) else str(value)
+            assert list(json_row) == header
+            for column, value in json_row.items():
+                if value is None:
+                    expect = ""
+                elif isinstance(value, float):
+                    expect = f"{value:.10g}"
+                else:
+                    expect = str(value)
                 assert csv_row[column] == expect
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    def test_help_lists_flags_in_order_with_defaults(self, cli, command):
+        result = cli(command, "--help")
+        assert result.exit_code == 0
+        listed = [line.split()[0] for line in result.output.splitlines() if line.startswith("  --")]
+        assert listed == [*COMMAND_FLAGS[command], "--help"]
+        # an option's help may wrap, so read each option's text with whitespace joined
+        text = " ".join(result.output.split())
+        sections = {part.split()[0]: part for part in re.split(r" (?=--[a-z])", text)[1:]}
+        for flag in COMMAND_FLAGS[command]:
+            default = FLAG_DEFAULTS.get(flag)
+            if default is None:
+                assert "[default:" not in sections[flag]
+            else:
+                assert f"[default: {default}]" in sections[flag]
 
     def test_repeat_invocations_identical(self, cli):
         args = ("run", "--qubits", 6, "--schedule", "adaptive-eq10", "--iterations", 5)
