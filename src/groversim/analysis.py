@@ -21,7 +21,6 @@ from .grover import (
     MarkedSet,
     RunTrace,
     Schedule,
-    n_optimal_standard,
     run_grover,
     standard_diffusion_mean,
 )
@@ -29,6 +28,7 @@ from .statevector import (
     HADAMARD,
     SizeLimitError,
     apply_one_qubit_gate,
+    check_register_size,
     phase_flip_indices,
     uniform_superposition,
 )
@@ -154,7 +154,7 @@ def optimal_phase_search(n_qubits: int) -> float:
     diffusion (gate_zr_y) applied to the uniform state (single marked
     state), via a coarse grid scan over [-pi, pi) followed by golden-section
     refinement. Every objective value is bit-identical to
-    target_probability(modified_diffusion(after_oracle, theta, gate_zr_y),
+    target_probability(modified_diffusion(after_oracle, gate_zr_y(theta)),
     marked), but only the part of the diffusion the angle reaches is run
     per angle.
 
@@ -224,9 +224,7 @@ def _first_iteration_objective(n_qubits: int):
             blocks[:, :, : width >> 1] = reached
             reached = np.matmul(h, blocks.reshape(-1, 2, width >> 1)).reshape(blocks.shape)
         amp = np.matmul(h, reached)[:, 1, -1]
-        # Every amplitude here is real (zero imaginary part), so this equals
-        # target_probability's vdot exactly.
-        return amp.real**2 + amp.imag**2
+        return np.abs(amp) ** 2  # target_probability's |a|**2
 
     return probabilities
 
@@ -294,14 +292,15 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     all-ones state marked, locates the first success-probability crest and
     tabulates iteration counts, their ratio and the percent improvement.
     """
+    check_register_size(n_lo)
+    check_register_size(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty qubit range {n_lo}..{n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
         marked = MarkedSet(frozenset({(1 << n) - 1}))
-        limit = 2 * n_optimal_standard(n, 1) + 2
-        std_trace = run_grover(GroverConfig(n, marked, Schedule(), limit))
-        mod_trace = run_grover(GroverConfig(n, marked, schedule, limit))
+        std_trace = run_grover(GroverConfig(n, marked, Schedule()))
+        mod_trace = run_grover(GroverConfig(n, marked, schedule))
         std_iters, std_peak = find_peak_iteration(std_trace)
         mod_iters, mod_peak = find_peak_iteration(mod_trace)
         ratio = mod_iters / std_iters
@@ -319,7 +318,7 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
             )
         )
     average = fmean(r.improvement_pct for r in rows)
-    tail = [r.improvement_pct for r in rows if r.n > 2]
+    tail = [r.improvement_pct for r in rows if r.n != 2]
     return SweepReport(rows, average, fmean(tail) if tail else None)
 
 

@@ -60,8 +60,9 @@ class QubitRangeParam(click.ParamType):
         if isinstance(value, tuple):
             return value
         text = str(value).strip()
-        lo_s, _, hi_s = text.partition("..")
-        hi_s = hi_s or lo_s
+        lo_s, dots, hi_s = text.partition("..")
+        if not dots:
+            hi_s = lo_s
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
@@ -78,8 +79,6 @@ def _parse_marked(ctx, param, value):
         indices = frozenset(int(tok) for tok in str(value).split(","))
     except ValueError:
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
-    if not indices:
-        raise click.BadParameter("marked set must be nonempty")
     return indices
 
 

@@ -54,13 +54,11 @@ def gate_zr_y(theta: float) -> OneQubitGate:
 
 def gate_hr_y(theta: float) -> OneQubitGate:
     """Matrix product H @ R_y(theta)."""
-    _half_angle(theta)
     return HADAMARD @ gate_r_y(theta)
 
 
 def gate_ry_h(theta: float) -> OneQubitGate:
     """H followed by R_y(theta), i.e. matrix R_y(theta) @ H."""
-    _half_angle(theta)
     return gate_r_y(theta) @ HADAMARD
 
 
@@ -109,6 +107,25 @@ class Schedule:
         if self.rotation_target is not None:
             label += f"@q{self.rotation_target}"
         return label
+
+    def step(self, n_qubits: int, iteration: int) -> tuple[float, OneQubitGate]:
+        """Rotation angle and diffusion gate for a 1-based iteration.
+
+        The hybrid schedule applies gate_zr_y in iteration 1 and the gate
+        its hybrid_order names from iteration 2 on; the others always
+        apply gate_zr_y.
+        """
+        if self.kind is ScheduleKind.STANDARD:
+            theta = 0.0
+        elif self.kind is ScheduleKind.ADAPTIVE:
+            theta = adaptive_phase(n_qubits, iteration, self.interpretation)
+        else:
+            theta = fixed_phase(n_qubits)
+        if self.kind is not ScheduleKind.HYBRID or iteration == 1:
+            return theta, gate_zr_y(theta)
+        if self.hybrid_order is HybridOrder.H_THEN_RY:
+            return theta, gate_ry_h(theta)
+        return theta, gate_hr_y(theta)
 
 
 @dataclass(frozen=True)
@@ -166,22 +183,9 @@ def adaptive_phase(
         raise ValueError(f"iteration index must be >= 1, got {iteration}")
     base = fixed_phase(n_qubits)
     growth = 1.0 + (2 * iteration - 1) / (2 * iteration + 1)
-    if interpretation is RatioInterpretation.ADDITIVE:
-        return base + growth
     if interpretation is RatioInterpretation.MULTIPLICATIVE:
         return base * growth
-    raise ValueError(f"unknown interpretation: {interpretation!r}")
-
-
-def schedule_phase(schedule: Schedule, n_qubits: int, iteration: int) -> float:
-    """Rotation angle a schedule assigns to a 1-based iteration."""
-    if schedule.kind is ScheduleKind.STANDARD:
-        return 0.0
-    if schedule.kind in (ScheduleKind.FIXED, ScheduleKind.HYBRID):
-        return fixed_phase(n_qubits)
-    if schedule.kind is ScheduleKind.ADAPTIVE:
-        return adaptive_phase(n_qubits, iteration, schedule.interpretation)
-    raise ValueError(f"unknown schedule kind: {schedule.kind!r}")
+    return base + growth
 
 
 def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
@@ -196,26 +200,22 @@ def standard_diffusion_mean(state: StateVector) -> StateVector:
 
 
 def modified_diffusion(
-    state: StateVector,
-    theta: float,
-    inner_gate=gate_zr_y,
-    rotation_target: int | None = None,
+    state: StateVector, gate: OneQubitGate, rotation_target: int | None = None
 ) -> StateVector:
-    """Diffusion H^n X^n C-U X^n H^n, with U = inner_gate(theta) on the
-    rotation target t, controlled by every other qubit.
+    """Diffusion H^n X^n C-U X^n H^n, with U = gate on the rotation target
+    t, controlled by every other qubit.
 
-    `inner_gate` is a constructor such as gate_zr_y, gate_ry_h or gate_hr_y;
-    gate_zr_y(0) is exactly Z, giving the standard diffusion (equal to
-    standard_diffusion_mean up to an overall sign). X^n C-U X^n is U acting
-    on the amplitude pair (2**t, 0) alone, so that pair is updated between
-    the H layers. X's 0/1 matmul moves amplitudes exactly, so the result is
+    Schedule.step picks the gate; gate_zr_y(0) is exactly Z, giving the
+    standard diffusion (equal to standard_diffusion_mean up to an overall
+    sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
+    so that pair is updated between the H layers. X's 0/1 matmul moves amplitudes exactly, so the result is
     bit-identical to the gate-by-gate circuit.
     """
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
-    m = inner_gate(theta).matrix
+    m = gate.matrix
     for q in range(n):
         state = apply_one_qubit_gate(state, q, HADAMARD)
     # The H layer's output is a fresh array, so updating it in place leaves
@@ -307,17 +307,12 @@ def run_grover(config: GroverConfig) -> RunTrace:
             f"results for {marked.count} marked states are exploratory",
         )
 
-    marked_order = np.array(sorted(marked.indices))
-
     records = []
     for i in range(1, config.max_iterations + 1):
         state = apply_oracle(state, marked)
-        theta = schedule_phase(schedule, n, i)
-        state = modified_diffusion(
-            state, theta, _inner_gate_for(schedule, i), schedule.rotation_target
-        )
-        probs = state.probabilities()
-        total = float(probs.sum())
+        theta, gate = schedule.step(n, i)
+        state = modified_diffusion(state, gate, schedule.rotation_target)
+        total = state.norm_squared()
         if not abs(total - 1.0) < 1e-10:
             raise NormDriftError(
                 f"statevector norm drifted to {total!r} at iteration {i}"
@@ -326,16 +321,8 @@ def run_grover(config: GroverConfig) -> RunTrace:
             IterationRecord(
                 iteration=i,
                 theta_used=theta,
-                target_probability=float(probs[marked_order].sum()),
+                target_probability=target_probability(state, marked.indices),
                 mean_amplitude=float(np.mean(state.amps.real)),
             )
         )
     return RunTrace(config, records, initial, notes)
-
-
-def _inner_gate_for(schedule: Schedule, iteration: int):
-    if schedule.kind is not ScheduleKind.HYBRID or iteration == 1:
-        return gate_zr_y
-    if schedule.hybrid_order is HybridOrder.H_THEN_RY:
-        return gate_ry_h
-    return gate_hr_y

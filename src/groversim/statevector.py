@@ -91,9 +91,6 @@ class StateVector:
     def norm_squared(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 def uniform_superposition(n_qubits: int) -> StateVector:
     """All 2**n amplitudes equal to 1/sqrt(2**n)."""
@@ -177,11 +174,7 @@ def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVecto
 
 def target_probability(state: StateVector, indices: Iterable[int]) -> float:
     """Total probability mass on the listed basis indices (exact readout)."""
-    idx = _validated_indices(state, indices)
-    if idx.size == 0:
-        return 0.0
-    sel = state.amps[idx]
-    return float(np.vdot(sel, sel).real)
+    return float((np.abs(state.amps[_validated_indices(state, indices)]) ** 2).sum())
 
 
 def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray:

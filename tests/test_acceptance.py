@@ -238,7 +238,7 @@ def test_criterion_7_property_bundle():
     for n in range(1, 11):
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, amps / np.linalg.norm(amps))
-        gate_form = modified_diffusion(state, 0.0).amps
+        gate_form = modified_diffusion(state, gate_zr_y(0.0)).amps
         mean_form = standard_diffusion_mean(state).amps
         err = min(np.abs(gate_form - mean_form).max(), np.abs(gate_form + mean_form).max())
         if err >= 1e-10:
@@ -270,7 +270,7 @@ def test_criterion_7_property_bundle():
     state = uniform_superposition(5)
     for record in standard.records:
         state = apply_oracle(state, marked)
-        state = modified_diffusion(state, 0.0, gate_zr_y)
+        state = modified_diffusion(state, gate_zr_y(0.0))
         delta = abs(abs(state.amps[31]) ** 2 - record.target_probability)
         if delta >= 1e-12:
             failures.append(f"zero-angle reduction drift {delta:.2e}")

@@ -190,7 +190,7 @@ class TestFirstIterationObjective:
         marked = {(1 << n) - 1}
         after_oracle = phase_flip_indices(uniform_superposition(n), marked)
         return lambda theta: target_probability(
-            modified_diffusion(after_oracle, theta, gate_zr_y), marked
+            modified_diffusion(after_oracle, gate_zr_y(theta)), marked
         )
 
     @pytest.mark.parametrize("n", range(2, 10))
@@ -272,6 +272,11 @@ class TestSweepCompare:
         assert row.improvement_pct == 0.0
         assert report.average_improvement_pct == 0.0
         assert report.average_improvement_pct_excl_2q is None
+
+    def test_one_qubit_row_counts_toward_the_mean_without_n2(self):
+        report = sweep_compare(1, 2, Schedule())
+        assert [r.n for r in report.rows] == [1, 2]
+        assert report.average_improvement_pct_excl_2q == 0.0
 
     def test_hybrid_n3(self):
         report = sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID))

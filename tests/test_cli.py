@@ -329,8 +329,9 @@ class TestExitCodes:
     def test_oversized_register_is_sizing_error(self, cli):
         assert cli("run", "--qubits", 25).exit_code == 3
 
-    def test_sweep_with_oversized_bound(self, cli):
-        assert cli("sweep", "--qubits", "21..25", "--schedule", "standard").exit_code == 3
+    @pytest.mark.parametrize("qubits", ["21..25", "0..2", "2000..2000"])
+    def test_sweep_with_oversized_bound(self, cli, qubits):
+        assert cli("sweep", "--qubits", qubits, "--schedule", "standard").exit_code == 3
 
     def test_modified_schedule_on_single_qubit(self, cli):
         assert cli("run", "--qubits", 1, "--schedule", "fixed-eq9").exit_code == 2
@@ -338,8 +339,9 @@ class TestExitCodes:
     def test_marked_index_out_of_range(self, cli):
         assert cli("run", "--qubits", 3, "--marked", "8").exit_code == 2
 
-    def test_marked_not_integers(self, cli):
-        assert cli("run", "--qubits", 3, "--marked", "a,b").exit_code == 2
+    @pytest.mark.parametrize("marked", ["a,b", ""])
+    def test_marked_not_integers(self, cli, marked):
+        assert cli("run", "--qubits", 3, "--marked", marked).exit_code == 2
 
     def test_rotation_target_out_of_range(self, cli):
         result = cli("run", "--qubits", 3, "--schedule", "fixed-eq9", "--rotation-target", 5)
@@ -351,8 +353,9 @@ class TestExitCodes:
     def test_reversed_range(self, cli):
         assert cli("sweep", "--qubits", "5..3", "--schedule", "standard").exit_code == 2
 
-    def test_malformed_range(self, cli):
-        assert cli("sweep", "--qubits", "x..y", "--schedule", "standard").exit_code == 2
+    @pytest.mark.parametrize("qubits", ["x..y", "3..", "..3"])
+    def test_malformed_range(self, cli, qubits):
+        assert cli("sweep", "--qubits", qubits, "--schedule", "standard").exit_code == 2
 
     def test_success_is_zero(self, cli):
         assert cli("run", "--qubits", 2, "--iterations", 1).exit_code == 0

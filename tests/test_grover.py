@@ -13,6 +13,7 @@ from groversim import (
     PAULI_X,
     GroverConfig,
     HybridOrder,
+    IterationRecord,
     MarkedSet,
     NormDriftError,
     RatioInterpretation,
@@ -32,8 +33,8 @@ from groversim import (
     modified_diffusion,
     n_optimal_standard,
     run_grover,
-    schedule_phase,
     standard_diffusion_mean,
+    target_probability,
     uniform_superposition,
 )
 from groversim import grover
@@ -104,14 +105,33 @@ class TestAdaptivePhase:
             adaptive_phase(5, 0)
 
 
-def test_schedule_phase_dispatch():
-    assert schedule_phase(Schedule(), 5, 3) == 0.0
-    assert schedule_phase(Schedule(ScheduleKind.FIXED), 5, 3) == fixed_phase(5)
-    assert schedule_phase(Schedule(ScheduleKind.HYBRID), 5, 2) == fixed_phase(5)
-    adaptive = Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.MULTIPLICATIVE)
-    assert schedule_phase(adaptive, 5, 2) == adaptive_phase(
-        5, 2, RatioInterpretation.MULTIPLICATIVE
-    )
+@pytest.mark.parametrize(
+    "schedule, iteration, theta, constructor",
+    [
+        (Schedule(), 3, 0.0, gate_zr_y),
+        (Schedule(ScheduleKind.FIXED), 3, fixed_phase(5), gate_zr_y),
+        (Schedule(ScheduleKind.HYBRID), 1, fixed_phase(5), gate_zr_y),
+        (Schedule(ScheduleKind.HYBRID), 2, fixed_phase(5), gate_ry_h),
+        (
+            Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H),
+            2,
+            fixed_phase(5),
+            gate_hr_y,
+        ),
+        (Schedule(ScheduleKind.ADAPTIVE), 2, adaptive_phase(5, 2), gate_zr_y),
+        (
+            Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.MULTIPLICATIVE),
+            2,
+            adaptive_phase(5, 2, RatioInterpretation.MULTIPLICATIVE),
+            gate_zr_y,
+        ),
+    ],
+)
+def test_schedule_step(schedule, iteration, theta, constructor):
+    got_theta, gate = schedule.step(5, iteration)
+    assert got_theta == theta
+    expected = constructor(theta).matrix
+    assert np.array_equal(gate.matrix.view(np.float64), expected.view(np.float64))
 
 
 class TestOracle:
@@ -129,7 +149,7 @@ class TestOracle:
         state = uniform_superposition(3)
         most = apply_oracle(state, MarkedSet(frozenset(range(7))))
         one = apply_oracle(state, MarkedSet(frozenset({7})))
-        assert np.allclose(most.probabilities(), one.probabilities(), atol=1e-15)
+        assert np.allclose(np.abs(most.amps) ** 2, np.abs(one.amps) ** 2, atol=1e-15)
 
 
 class TestDiffusion:
@@ -150,7 +170,7 @@ class TestDiffusion:
 
     def test_gate_form_concentrates_n2_up_to_sign(self):
         state = apply_oracle(uniform_superposition(2), MarkedSet(frozenset({3})))
-        out = modified_diffusion(state, 0.0)
+        out = modified_diffusion(state, gate_zr_y(0.0))
         err = min(
             np.abs(out.amps - np.array([0, 0, 0, 1])).max(),
             np.abs(out.amps + np.array([0, 0, 0, 1])).max(),
@@ -159,13 +179,13 @@ class TestDiffusion:
 
     def test_gate_form_fixes_uniform_up_to_sign(self):
         state = uniform_superposition(3)
-        out = modified_diffusion(state, 0.0)
+        out = modified_diffusion(state, gate_zr_y(0.0))
         err = min(np.abs(out.amps - state.amps).max(), np.abs(out.amps + state.amps).max())
         assert err < 1e-10
 
     def test_gate_form_matches_mean_form(self):
         state = random_state(5, np.random.default_rng(21))
-        gate = modified_diffusion(state, 0.0).amps
+        gate = modified_diffusion(state, gate_zr_y(0.0)).amps
         mean = standard_diffusion_mean(state).amps
         assert min(np.abs(gate - mean).max(), np.abs(gate + mean).max()) < 1e-10
 
@@ -177,25 +197,25 @@ class TestDiffusion:
             for theta in (0.0, fixed_phase(max(n, 2)), float(rng.uniform(-math.pi, math.pi))):
                 state = random_state(n, rng)
                 before = state.amps.copy()
-                out = modified_diffusion(state, theta, inner_gate, target)
+                out = modified_diffusion(state, inner_gate(theta), target)
                 expected = gate_by_gate_diffusion(state, inner_gate(theta), target)
                 assert np.array_equal(out.amps.view(np.float64), expected.amps.view(np.float64))
                 assert np.array_equal(state.amps.view(np.float64), before.view(np.float64))
 
     def test_modified_n2_zero_angle_reaches_certainty(self):
         state = apply_oracle(uniform_superposition(2), MarkedSet(frozenset({3})))
-        out = modified_diffusion(state, 0.0)
+        out = modified_diffusion(state, gate_zr_y(0.0))
         assert abs(out.amps[3]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_modified_preserves_norm(self):
         state = random_state(5, np.random.default_rng(34))
         for theta in np.random.default_rng(35).uniform(-math.pi, math.pi, 10):
-            out = modified_diffusion(state, float(theta))
+            out = modified_diffusion(state, gate_zr_y(float(theta)))
             assert abs(out.norm_squared() - 1.0) < 1e-12
 
     def test_modified_rejects_bad_target(self):
         with pytest.raises(ValueError):
-            modified_diffusion(uniform_superposition(3), 0.5, rotation_target=3)
+            modified_diffusion(uniform_superposition(3), gate_zr_y(0.5), rotation_target=3)
 
 
 class TestNOptimal:
@@ -257,7 +277,7 @@ class TestRunGrover:
         state = uniform_superposition(5)
         for record in standard.records:
             state = apply_oracle(state, marked)
-            state = modified_diffusion(state, 0.0, gate_zr_y)
+            state = modified_diffusion(state, gate_zr_y(0.0))
             p = abs(state.amps[31]) ** 2
             assert abs(p - record.target_probability) < 1e-12
 
@@ -284,6 +304,34 @@ class TestRunGrover:
         trace = run_grover(GroverConfig(4, MarkedSet(frozenset({3, 5})), max_iterations=2))
         assert trace.notes == ()
         assert trace.initial_probability == pytest.approx(2.0 / 16.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            Schedule(),
+            Schedule(ScheduleKind.FIXED),
+            Schedule(ScheduleKind.ADAPTIVE),
+            Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.MULTIPLICATIVE),
+            Schedule(ScheduleKind.HYBRID),
+            Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H),
+            Schedule(ScheduleKind.HYBRID, rotation_target=0),
+        ],
+        ids=Schedule.describe,
+    )
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("marked", [None, frozenset({1, 5})], ids=["all-ones", "1,5"])
+    def test_records_equal_public_operator_resimulation(self, schedule, n, marked):
+        marked = MarkedSet(marked or {(1 << n) - 1})
+        config = GroverConfig(n, marked, schedule)
+        state = uniform_superposition(n)
+        expected = []
+        for i in range(1, config.max_iterations + 1):
+            state = apply_oracle(state, marked)
+            theta, gate = schedule.step(n, i)
+            state = modified_diffusion(state, gate, schedule.rotation_target)
+            p = target_probability(state, marked.indices)
+            expected.append(IterationRecord(i, theta, p, float(np.mean(state.amps.real))))
+        assert run_grover(config).records == expected
 
     def test_multi_marked_modified_is_flagged(self):
         config = GroverConfig(

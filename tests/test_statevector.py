@@ -18,6 +18,7 @@ from groversim import (
     target_probability,
     uniform_superposition,
 )
+from conftest import random_state
 
 
 class TestUniformSuperposition:
@@ -162,6 +163,16 @@ class TestTargetProbability:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             target_probability(uniform_superposition(2), {-1})
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_equals_sum_of_squared_moduli_bitwise(self, count):
+        # The run loop's records are this readout; pin its rounding.
+        for seed in range(40):
+            rng = np.random.default_rng([count, seed])
+            state = random_state(int(rng.integers(2, 9)), rng)
+            idx = [int(i) for i in rng.integers(0, state.dim, size=count)]
+            expected = float((np.abs(state.amps[sorted(set(idx))]) ** 2).sum())
+            assert target_probability(state, idx) == expected, (seed, idx)
 
 
 class TestDenseOperator:
