@@ -6,6 +6,7 @@ emits; rerunning the script reproduces them byte for byte.
 """
 
 from pathlib import Path
+from time import perf_counter
 
 from groversim.cli import main
 
@@ -36,8 +37,9 @@ def run():
     RESULTS_DIR.mkdir(exist_ok=True)
     for filename, args in JOBS:
         out = RESULTS_DIR / filename
+        start = perf_counter()
         main(args + ["--out", str(out)], standalone_mode=False)
-        print(f"wrote {out}")
+        print(f"wrote {out} in {perf_counter() - start:.2f} s")
 
 
 if __name__ == "__main__":

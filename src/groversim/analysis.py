@@ -10,6 +10,7 @@ sweep.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import fmean
@@ -18,10 +19,10 @@ import numpy as np
 
 from .grover import (
     GroverConfig,
+    IterationRecord,
     MarkedSet,
-    RunTrace,
     Schedule,
-    run_grover,
+    iterate_grover,
     standard_diffusion_mean,
 )
 from .statevector import (
@@ -245,20 +246,24 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:
     return (lo + hi) / 2.0
 
 
-def find_peak_iteration(trace: RunTrace) -> tuple[int, float]:
-    """First crest of the success curve: earliest iteration whose probability
+def find_peak_iteration(records: Iterable[IterationRecord]) -> tuple[int, float]:
+    """First crest of the success curve: earliest record whose probability
     is not exceeded by the next one. Later revivals of the oscillating curve
-    are deliberately ignored; a flat trace yields iteration 1 and a strictly
-    rising trace yields the last iteration.
+    are deliberately ignored; a flat curve yields its first record and a
+    strictly rising one its last.
+
+    Pulls at most one record past the crest, so given iterate_grover it
+    simulates no further. Raises ValueError if there are no records.
     """
-    records = trace.records
-    if not records:
-        raise ValueError("trace has no iterations")
-    probs = [r.target_probability for r in records]
-    for i in range(len(probs) - 1):
-        if probs[i] >= probs[i + 1]:
-            return records[i].iteration, probs[i]
-    return records[-1].iteration, probs[-1]
+    records = iter(records)
+    crest = next(records, None)
+    if crest is None:
+        raise ValueError("no iterations to search for a crest")
+    for record in records:
+        if crest.target_probability >= record.target_probability:
+            break
+        crest = record
+    return crest.iteration, crest.target_probability
 
 
 @dataclass
@@ -288,9 +293,10 @@ class SweepReport:
 def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     """Standard-vs-scheduled peak comparison over an inclusive qubit range.
 
-    Each n runs both schedules for 2 * n_optimal + 2 iterations with the
-    all-ones state marked, locates the first success-probability crest and
-    tabulates iteration counts, their ratio and the percent improvement.
+    Each n runs both schedules with the all-ones state marked for up to
+    2 * n_optimal + 2 iterations, stopping one record past the first
+    success-probability crest, and tabulates the crest iteration counts,
+    their ratio and the percent improvement.
     """
     check_register_size(n_lo)
     check_register_size(n_hi)
@@ -299,10 +305,12 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     rows = []
     for n in range(n_lo, n_hi + 1):
         marked = MarkedSet(frozenset({(1 << n) - 1}))
-        std_trace = run_grover(GroverConfig(n, marked, Schedule()))
-        mod_trace = run_grover(GroverConfig(n, marked, schedule))
-        std_iters, std_peak = find_peak_iteration(std_trace)
-        mod_iters, mod_peak = find_peak_iteration(mod_trace)
+        std_iters, std_peak = find_peak_iteration(
+            iterate_grover(GroverConfig(n, marked, Schedule()))
+        )
+        mod_iters, mod_peak = find_peak_iteration(
+            iterate_grover(GroverConfig(n, marked, schedule))
+        )
         ratio = mod_iters / std_iters
         rows.append(
             ComparisonRow(

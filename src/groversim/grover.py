@@ -19,6 +19,7 @@ schedule, since gate-name notation alone does not pin the order down.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -208,8 +209,9 @@ def modified_diffusion(
     Schedule.step picks the gate; gate_zr_y(0) is exactly Z, giving the
     standard diffusion (equal to standard_diffusion_mean up to an overall
     sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
-    so that pair is updated between the H layers. X's 0/1 matmul moves amplitudes exactly, so the result is
-    bit-identical to the gate-by-gate circuit.
+    so that pair is updated between the H layers. X's 0/1 matmul moves
+    amplitudes exactly, so the result is bit-identical to the gate-by-gate
+    circuit.
     """
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
@@ -287,27 +289,18 @@ class RunTrace:
     notes: tuple[str, ...] = ()
 
 
-def run_grover(config: GroverConfig) -> RunTrace:
-    """Prepare the uniform state, then iterate oracle + scheduled diffusion.
+def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
+    """Prepare the uniform state, then yield one record per iteration of
+    oracle + scheduled diffusion, up to max_iterations records.
 
-    Records target probability, applied angle and diagnostics after every
-    iteration; the trace always spans exactly max_iterations records.
-    Raises NormDriftError if the squared norm leaves 1 by 1e-10 or more.
+    Each record is computed only when it is pulled, so a consumer that stops
+    early skips the remaining iterations. Raises NormDriftError if the
+    squared norm leaves 1 by 1e-10 or more.
     """
     n = config.n_qubits
     schedule = config.schedule
     marked = config.marked
     state = uniform_superposition(n)
-    initial = target_probability(state, marked.indices)
-
-    notes: tuple[str, ...] = ()
-    if schedule.kind is not ScheduleKind.STANDARD and marked.count > 1:
-        notes = (
-            "modified schedules assume a single marked state; "
-            f"results for {marked.count} marked states are exploratory",
-        )
-
-    records = []
     for i in range(1, config.max_iterations + 1):
         state = apply_oracle(state, marked)
         theta, gate = schedule.step(n, i)
@@ -317,12 +310,28 @@ def run_grover(config: GroverConfig) -> RunTrace:
             raise NormDriftError(
                 f"statevector norm drifted to {total!r} at iteration {i}"
             )
-        records.append(
-            IterationRecord(
-                iteration=i,
-                theta_used=theta,
-                target_probability=target_probability(state, marked.indices),
-                mean_amplitude=float(np.mean(state.amps.real)),
-            )
+        yield IterationRecord(
+            iteration=i,
+            theta_used=theta,
+            target_probability=target_probability(state, marked.indices),
+            mean_amplitude=float(np.mean(state.amps.real)),
         )
-    return RunTrace(config, records, initial, notes)
+
+
+def run_grover(config: GroverConfig) -> RunTrace:
+    """Every record of iterate_grover(config), exactly max_iterations of
+    them, with the uniform state's target probability and any notes.
+
+    Raises NormDriftError as iterate_grover does.
+    """
+    marked = config.marked
+    # No reference to the uniform state outlives this line, so the loop's
+    # peak memory stays one register plus its diffusion temporaries.
+    initial = target_probability(uniform_superposition(config.n_qubits), marked.indices)
+    notes: tuple[str, ...] = ()
+    if config.schedule.kind is not ScheduleKind.STANDARD and marked.count > 1:
+        notes = (
+            "modified schedules assume a single marked state; "
+            f"results for {marked.count} marked states are exploratory",
+        )
+    return RunTrace(config, list(iterate_grover(config)), initial, notes)

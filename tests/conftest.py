@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from groversim import StateVector
+from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, StateVector
 from groversim.cli import main as cli_main
+
+# Every ScheduleKind, HybridOrder and RatioInterpretation, and a
+# non-default rotation target.
+SCHEDULES = [
+    Schedule(),
+    Schedule(ScheduleKind.FIXED),
+    Schedule(ScheduleKind.ADAPTIVE),
+    Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.MULTIPLICATIVE),
+    Schedule(ScheduleKind.HYBRID),
+    Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H),
+    Schedule(ScheduleKind.HYBRID, rotation_target=0),
+]
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:

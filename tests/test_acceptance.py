@@ -151,7 +151,7 @@ def test_criterion_5_modified_headline_with_combination_report():
     hits = []
     for schedule in combos:
         trace = run_grover(GroverConfig(5, marked, schedule, 6))
-        peak_iter, peak_prob = find_peak_iteration(trace)
+        peak_iter, peak_prob = find_peak_iteration(trace.records)
         deviation = abs(peak_prob - REFERENCE_HEADLINE_PROBABILITY)
         meets = peak_iter == 3 and peak_prob >= 0.99 and deviation <= 5e-3
         hits.append(meets)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from groversim import (
+    ComparisonRow,
     GroverConfig,
     IterationRecord,
     MarkedSet,
@@ -16,6 +17,7 @@ from groversim import (
     amplitude_ratio,
     find_peak_iteration,
     fixed_phase,
+    iterate_grover,
     n_optimal_standard,
     optimal_phase_search,
     recurrence_table,
@@ -32,12 +34,14 @@ from groversim.analysis import (
     _first_iteration_objective,
     _golden_section_max,
 )
+from groversim import grover
 from groversim.grover import gate_zr_y, modified_diffusion
 from groversim.statevector import (
     phase_flip_indices,
     target_probability,
     uniform_superposition,
 )
+from conftest import SCHEDULES
 
 
 def synthetic_trace(probs):
@@ -224,21 +228,21 @@ class TestFirstIterationObjective:
 class TestFindPeak:
     def test_strictly_rising_trace_peaks_at_end(self):
         trace = synthetic_trace([0.1, 0.2, 0.3, 0.4])
-        assert find_peak_iteration(trace) == (4, 0.4)
+        assert find_peak_iteration(trace.records) == (4, 0.4)
 
     def test_flat_trace_peaks_first(self):
         trace = synthetic_trace([0.5, 0.5, 0.5])
-        assert find_peak_iteration(trace) == (1, 0.5)
+        assert find_peak_iteration(trace.records) == (1, 0.5)
 
     def test_first_crest_wins_over_later_revival(self):
         # oscillating success curves revive; the first crest is the answer
         trace = synthetic_trace([0.3, 0.9, 0.2, 0.95])
-        assert find_peak_iteration(trace) == (2, 0.9)
+        assert find_peak_iteration(trace.records) == (2, 0.9)
 
     def test_standard_n5_peaks_at_four(self):
         marked = MarkedSet(frozenset({31}))
         trace = run_grover(GroverConfig(5, marked, max_iterations=10))
-        it, p = find_peak_iteration(trace)
+        it, p = find_peak_iteration(trace.records)
         assert it == 4
         assert p == pytest.approx(math.sin(9.0 * math.asin(1.0 / math.sqrt(32.0))) ** 2, abs=1e-9)
 
@@ -247,20 +251,37 @@ class TestFindPeak:
         # the reported peak must still be the first crest at iteration 2
         marked = MarkedSet(frozenset({7}))
         trace = run_grover(GroverConfig(3, marked, max_iterations=6))
-        it, _ = find_peak_iteration(trace)
+        it, _ = find_peak_iteration(trace.records)
         assert it == 2
 
     def test_peak_matches_n_optimal_for_all_sizes(self):
         for n in range(2, 14):
             marked = MarkedSet(frozenset({(1 << n) - 1}))
-            trace = run_grover(GroverConfig(n, marked))
-            it, _ = find_peak_iteration(trace)
+            it, _ = find_peak_iteration(iterate_grover(GroverConfig(n, marked)))
             assert it == n_optimal_standard(n, 1)
 
-    def test_empty_trace_rejected(self):
-        config = GroverConfig(2, MarkedSet(frozenset({3})), max_iterations=1)
+    @pytest.mark.parametrize("records", [[], iter(())], ids=["list", "iterator"])
+    def test_empty_trace_rejected(self, records):
         with pytest.raises(ValueError):
-            find_peak_iteration(RunTrace(config, [], 0.25))
+            find_peak_iteration(records)
+
+    @pytest.mark.parametrize(
+        "probs, crest",
+        [
+            ([0.1, 0.6, 0.9, 0.4, 0.95, 0.2], 3),
+            ([0.5, 0.5, 0.5, 0.5], 1),
+            ([0.1, 0.2, 0.3, 0.4], 4),
+        ],
+        ids=["middle", "flat", "rising"],
+    )
+    def test_pulls_at_most_one_record_past_the_crest(self, probs, crest):
+        def records():
+            for i, p in enumerate(probs, start=1):
+                if i > crest + 1:
+                    pytest.fail(f"pulled record {i}, more than one past crest {crest}")
+                yield IterationRecord(i, 0.0, p, 0.0)
+
+        assert find_peak_iteration(records()) == (crest, probs[crest - 1])
 
 
 class TestSweepCompare:
@@ -297,6 +318,42 @@ class TestSweepCompare:
     def test_schedule_description_recorded(self):
         report = sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID))
         assert all(r.schedule_used == "hybrid-eq11-12[h-then-ry]" for r in report.rows)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    def test_rows_equal_full_window_crests(self, schedule):
+        # The sweep stops each run one record past its crest; its rows must
+        # equal those read off the whole 2 * n_optimal + 2 window.
+        n_lo = 1 if schedule.kind is ScheduleKind.STANDARD else 2
+        expected = []
+        for n in range(n_lo, 11):
+            marked = MarkedSet(frozenset({(1 << n) - 1}))
+            std_iters, std_peak = find_peak_iteration(
+                run_grover(GroverConfig(n, marked)).records
+            )
+            mod_iters, mod_peak = find_peak_iteration(
+                run_grover(GroverConfig(n, marked, schedule)).records
+            )
+            ratio = mod_iters / std_iters
+            expected.append(
+                ComparisonRow(
+                    n, std_iters, mod_iters, std_iters - mod_iters, ratio,
+                    100.0 * (1.0 - ratio), std_peak, mod_peak, schedule.describe(),
+                )
+            )
+        assert sweep_compare(n_lo, 10, schedule).rows == expected
+
+    def test_simulates_only_up_to_one_past_each_crest(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return modified_diffusion(*args)
+
+        monkeypatch.setattr(grover, "modified_diffusion", counted)
+        row = sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows[0]
+        assert (row.std_iters, row.mod_iters) == (71, 50)
+        assert calls == 72 + 51
 
 
 class TestTheoreticalComplexity:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -30,6 +31,7 @@ from groversim import (
     gate_hr_y,
     gate_ry_h,
     gate_zr_y,
+    iterate_grover,
     modified_diffusion,
     n_optimal_standard,
     run_grover,
@@ -38,7 +40,7 @@ from groversim import (
     uniform_superposition,
 )
 from groversim import grover
-from conftest import random_state
+from conftest import SCHEDULES, random_state
 
 MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -305,19 +307,7 @@ class TestRunGrover:
         assert trace.notes == ()
         assert trace.initial_probability == pytest.approx(2.0 / 16.0, abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            Schedule(),
-            Schedule(ScheduleKind.FIXED),
-            Schedule(ScheduleKind.ADAPTIVE),
-            Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.MULTIPLICATIVE),
-            Schedule(ScheduleKind.HYBRID),
-            Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H),
-            Schedule(ScheduleKind.HYBRID, rotation_target=0),
-        ],
-        ids=Schedule.describe,
-    )
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     @pytest.mark.parametrize("n", range(3, 7))
     @pytest.mark.parametrize("marked", [None, frozenset({1, 5})], ids=["all-ones", "1,5"])
     def test_records_equal_public_operator_resimulation(self, schedule, n, marked):
@@ -332,6 +322,13 @@ class TestRunGrover:
             p = target_probability(state, marked.indices)
             expected.append(IterationRecord(i, theta, p, float(np.mean(state.amps.real))))
         assert run_grover(config).records == expected
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    def test_iterate_grover_yields_the_run_records(self, schedule):
+        config = GroverConfig(5, MarkedSet(frozenset({1, 5})), schedule)
+        records = run_grover(config).records
+        assert list(iterate_grover(config)) == records
+        assert list(itertools.islice(iterate_grover(config), 3)) == records[:3]
 
     def test_multi_marked_modified_is_flagged(self):
         config = GroverConfig(
@@ -353,6 +350,12 @@ class TestNormDrift:
         monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
         with pytest.raises(NormDriftError, match="norm drifted"):
             run_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
+
+    def test_drift_raises_from_the_generator(self, monkeypatch):
+        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
+        records = iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
+        with pytest.raises(NormDriftError, match="at iteration 1"):
+            next(records)
 
     def test_drift_inside_tolerance_passes(self, monkeypatch):
         factor = math.sqrt(1.0 + 5e-11)
