@@ -30,7 +30,7 @@ from .statevector import (
     NormDriftError,
     OneQubitGate,
     StateVector,
-    apply_one_qubit_gate,
+    apply_one_qubit_gate,  # noqa: F401 -- the benchmark tracer patches this binding
     check_register_size,
     phase_flip_indices,
     target_probability,
@@ -211,24 +211,55 @@ def modified_diffusion(
     sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
     so that pair is updated between the H layers. X's 0/1 matmul moves
     amplitudes exactly, so the result is bit-identical to the gate-by-gate
-    circuit.
+    circuit. Both H^n run in two register-sized buffers allocated here;
+    see _hadamard_layers. The caller's state is only read.
     """
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
     m = gate.matrix
-    for q in range(n):
-        state = apply_one_qubit_gate(state, q, HADAMARD)
-    # The H layer's output is a fresh array, so updating it in place leaves
-    # the caller's state alone. Operand order as in
-    # apply_controlled_one_qubit_gate.
-    a0, a1 = state.amps[1 << target], state.amps[0]
-    state.amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
-    state.amps[0] = m[1, 0] * a0 + m[1, 1] * a1
-    for q in range(n):
-        state = apply_one_qubit_gate(state, q, HADAMARD)
-    return state
+    amps = np.empty_like(state.amps)
+    scratch = np.empty_like(amps)
+    _hadamard_layers(state.amps, amps, scratch)
+    # Operand order as in apply_controlled_one_qubit_gate.
+    a0, a1 = amps[1 << target], amps[0]
+    amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
+    amps[0] = m[1, 0] * a0 + m[1, 1] * a1
+    _hadamard_layers(amps, amps, scratch)
+    return StateVector(n, amps)
+
+
+def _hadamard_layers(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write H^n of src into out, byte-identical to applying
+    apply_one_qubit_gate(., q, HADAMARD) for q = 0..n-1.
+
+    Each layer first copies the current layout's lowest bit, which is
+    always bit q, to the top: scratch viewed as (2, N/2) becomes the
+    transpose of src viewed as (N/2, 2). H then acts on the two halves in
+    one call, and after n such rotations the layout is natural again. The
+    per-qubit kernel's layer q is 2**(n-1-q) products (2,2)@(2,2**q);
+    for q >= 1 one (2,2)@(2,N/2) product computes every output entry with
+    the same arithmetic, and for q = 0, where numpy takes the
+    matrix-vector route, the elementwise h[i,0]*x0 + h[i,1]*x1 does.
+    src may be out; scratch is overwritten.
+    """
+    h = HADAMARD.matrix
+    half = out.size >> 1
+    for q in range(out.size.bit_length() - 1):
+        np.copyto(scratch.reshape(2, half), src.reshape(half, 2).T)
+        if q == 0:
+            x0, x1 = scratch[:half], scratch[half:]
+            y0, y1 = out[:half], out[half:]
+            np.multiply(h[0, 0], x0, out=y0)
+            np.multiply(h[0, 1], x1, out=y1)
+            y0 += y1
+            np.multiply(h[1, 1], x1, out=y1)
+            x0 *= h[1, 0]
+            y1 += x0
+        else:
+            np.matmul(h, scratch.reshape(2, half), out=out.reshape(2, half))
+        src = out
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:

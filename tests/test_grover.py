@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 
 from groversim import (
     HADAMARD,
-    PAULI_X,
     GroverConfig,
     HybridOrder,
     IterationRecord,
@@ -23,7 +23,6 @@ from groversim import (
     SizeLimitError,
     StateVector,
     adaptive_phase,
-    apply_controlled_one_qubit_gate,
     apply_one_qubit_gate,
     apply_oracle,
     default_max_iterations,
@@ -40,24 +39,10 @@ from groversim import (
     uniform_superposition,
 )
 from groversim import grover
-from conftest import SCHEDULES, random_state
+from conftest import SCHEDULES, gate_by_gate_diffusion, random_state
 
 MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-
-
-def gate_by_gate_diffusion(state, gate, target):
-    """H^n X^n C-U X^n H^n, one full-register gate pass at a time."""
-    n = state.n_qubits
-    for layer in (HADAMARD, PAULI_X):
-        for q in range(n):
-            state = apply_one_qubit_gate(state, q, layer)
-    controls = frozenset(range(n)) - {target}
-    state = apply_controlled_one_qubit_gate(state, controls, target, gate)
-    for layer in (PAULI_X, HADAMARD):
-        for q in range(n):
-            state = apply_one_qubit_gate(state, q, layer)
-    return state
 
 
 class TestFixedPhase:
@@ -201,8 +186,8 @@ class TestDiffusion:
                 before = state.amps.copy()
                 out = modified_diffusion(state, inner_gate(theta), target)
                 expected = gate_by_gate_diffusion(state, inner_gate(theta), target)
-                assert np.array_equal(out.amps.view(np.float64), expected.amps.view(np.float64))
-                assert np.array_equal(state.amps.view(np.float64), before.view(np.float64))
+                assert out.amps.tobytes() == expected.amps.tobytes()
+                assert state.amps.tobytes() == before.tobytes()
 
     def test_modified_n2_zero_angle_reaches_certainty(self):
         state = apply_oracle(uniform_superposition(2), MarkedSet(frozenset({3})))
@@ -218,6 +203,64 @@ class TestDiffusion:
     def test_modified_rejects_bad_target(self):
         with pytest.raises(ValueError):
             modified_diffusion(uniform_superposition(3), gate_zr_y(0.5), rotation_target=3)
+
+
+    def test_peak_memory_is_two_registers(self):
+        # The result and one scratch buffer; a third register-sized
+        # allocation would show in large-register peak RSS.
+        state = random_state(16, np.random.default_rng(36))
+        gate = gate_zr_y(0.3)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            modified_diffusion(state, gate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2 * state.amps.nbytes + 64 * 1024
+
+
+def layer_test_amps(family, n, rng):
+    dim = 1 << n
+    if family == "complex":
+        return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if family == "real":
+        return rng.normal(size=dim).astype(complex)
+    if family == "flipped-uniform":
+        amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+        amps[rng.integers(dim)] *= -1
+        return amps
+    amps = np.zeros(dim, dtype=complex)  # basis state among +0.0 and -0.0
+    amps[1::2] *= -1
+    amps[rng.integers(dim)] = 1.0
+    return amps
+
+
+class TestHadamardLayers:
+    """The diffusion's H^n against the per-qubit kernel it replaces."""
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            *itertools.product(["complex", "real", "flipped-uniform", "signed-zero-basis"], range(1, 17)),
+            ("complex", 20),
+        ],
+    )
+    def test_equals_per_qubit_kernel_bytewise(self, family, n):
+        amps = layer_test_amps(family, n, np.random.default_rng(n))
+        before = amps.copy()
+        expected = StateVector(n, amps)
+        for q in range(n):
+            expected = apply_one_qubit_gate(expected, q, HADAMARD)
+        out, scratch = np.empty_like(amps), np.empty_like(amps)
+        grover._hadamard_layers(amps, out, scratch)
+        assert out.tobytes() == expected.amps.tobytes()
+        assert amps.tobytes() == before.tobytes()
+        # In place, as the closing H^n runs, equals out of place.
+        again = np.empty_like(out)
+        grover._hadamard_layers(out, again, scratch)
+        grover._hadamard_layers(out, out, scratch)
+        assert out.tobytes() == again.tobytes()
 
 
 class TestNOptimal:

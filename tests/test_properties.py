@@ -17,13 +17,14 @@ from groversim import (
     dense_operator_of,
     gate_hr_y,
     gate_r_y,
+    gate_ry_h,
     gate_zr_y,
     modified_diffusion,
     phase_flip_indices,
     standard_diffusion_mean,
     uniform_superposition,
 )
-from conftest import random_state
+from conftest import gate_by_gate_diffusion, random_state
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -108,6 +109,21 @@ def test_diffusion_gate_form_matches_mean_form(n, seed):
     gate = modified_diffusion(state, gate_zr_y(0.0)).amps
     mean = standard_diffusion_mean(state).amps
     assert min(np.abs(gate - mean).max(), np.abs(gate + mean).max()) < 1e-10
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([gate_zr_y, gate_ry_h, gate_hr_y]),
+    angles,
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_diffusion_equals_gate_by_gate_circuit_bytewise(n, inner_gate, theta, target, seed):
+    state = random_state(n, np.random.default_rng(seed))
+    gate, target = inner_gate(theta), target % n
+    expected = gate_by_gate_diffusion(state, gate, target)
+    assert modified_diffusion(state, gate, target).amps.tobytes() == expected.amps.tobytes()
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
