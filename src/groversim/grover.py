@@ -241,8 +241,8 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> N
     per-qubit kernel's layer q is 2**(n-1-q) products (2,2)@(2,2**q);
     for q >= 1 one (2,2)@(2,N/2) product computes every output entry with
     the same arithmetic, and for q = 0, where numpy takes the
-    matrix-vector route, the elementwise h[i,0]*x0 + h[i,1]*x1 does.
-    src may be out; scratch is overwritten.
+    matrix-vector route, the elementwise h[i,0]*x0 + h[i,1]*x1 + 0.0
+    does, signed zeros included. src may be out; scratch is overwritten.
     """
     h = HADAMARD.matrix
     half = out.size >> 1
@@ -257,6 +257,7 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> N
             np.multiply(h[1, 1], x1, out=y1)
             x0 *= h[1, 0]
             y1 += x0
+            out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
         else:
             np.matmul(h, scratch.reshape(2, half), out=out.reshape(2, half))
         src = out

@@ -230,10 +230,18 @@ def layer_test_amps(family, n, rng):
         amps = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
         amps[rng.integers(dim)] *= -1
         return amps
-    amps = np.zeros(dim, dtype=complex)  # basis state among +0.0 and -0.0
-    amps[1::2] *= -1
+    # Basis state; real and imaginary parts elsewhere are +0.0 or -0.0.
+    amps = rng.choice([0.0, -0.0], size=2 * dim).view(complex)
     amps[rng.integers(dim)] = 1.0
     return amps
+
+
+def per_qubit_hadamards(amps):
+    n = amps.size.bit_length() - 1
+    state = StateVector(n, amps)
+    for q in range(n):
+        state = apply_one_qubit_gate(state, q, HADAMARD)
+    return state.amps
 
 
 class TestHadamardLayers:
@@ -249,18 +257,25 @@ class TestHadamardLayers:
     def test_equals_per_qubit_kernel_bytewise(self, family, n):
         amps = layer_test_amps(family, n, np.random.default_rng(n))
         before = amps.copy()
-        expected = StateVector(n, amps)
-        for q in range(n):
-            expected = apply_one_qubit_gate(expected, q, HADAMARD)
         out, scratch = np.empty_like(amps), np.empty_like(amps)
         grover._hadamard_layers(amps, out, scratch)
-        assert out.tobytes() == expected.amps.tobytes()
+        assert out.tobytes() == per_qubit_hadamards(amps).tobytes()
         assert amps.tobytes() == before.tobytes()
         # In place, as the closing H^n runs, equals out of place.
         again = np.empty_like(out)
         grover._hadamard_layers(out, again, scratch)
         grover._hadamard_layers(out, out, scratch)
         assert out.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("n, parts", [(1, [0.0, -0.0, 0.5, -0.5]), (2, [0.0, -0.0, 0.5])])
+    def test_signed_zeros_bytewise(self, n, parts):
+        # Every state whose real and imaginary parts come from `parts`:
+        # exact zeros reach the output, and their signs must match too.
+        out, scratch = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+        for combo in itertools.product(parts, repeat=2 << n):
+            amps = np.array(combo).view(complex)
+            grover._hadamard_layers(amps, out, scratch)
+            assert out.tobytes() == per_qubit_hadamards(amps).tobytes(), combo
 
 
 class TestNOptimal:
