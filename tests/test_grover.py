@@ -204,7 +204,6 @@ class TestDiffusion:
         with pytest.raises(ValueError):
             modified_diffusion(uniform_superposition(3), gate_zr_y(0.5), rotation_target=3)
 
-
     def test_peak_memory_is_two_registers(self):
         # The result and one scratch buffer; a third register-sized
         # allocation would show in large-register peak RSS.
