@@ -211,7 +211,8 @@ def modified_diffusion(
     sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
     so that pair is updated between the H layers. X's 0/1 matmul moves
     amplitudes exactly, so the result is bit-identical to the gate-by-gate
-    circuit. Both H^n run in two register-sized buffers allocated here;
+    circuit. Both H^n ping-pong between two register-sized buffers
+    allocated here, and each ends in whichever one the parity of n gives;
     see _hadamard_layers. The caller's state is only read.
     """
     n = state.n_qubits
@@ -219,48 +220,47 @@ def modified_diffusion(
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
     m = gate.matrix
-    amps = np.empty_like(state.amps)
-    scratch = np.empty_like(amps)
-    _hadamard_layers(state.amps, amps, scratch)
+    amps, spare = _hadamard_layers(state.amps, np.empty_like(state.amps), np.empty_like(state.amps))
     # Operand order as in apply_controlled_one_qubit_gate.
     a0, a1 = amps[1 << target], amps[0]
     amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
     amps[0] = m[1, 0] * a0 + m[1, 1] * a1
-    _hadamard_layers(amps, amps, scratch)
+    amps, _ = _hadamard_layers(amps, spare, amps)
     return StateVector(n, amps)
 
 
-def _hadamard_layers(src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write H^n of src into out, byte-identical to applying
-    apply_one_qubit_gate(., q, HADAMARD) for q = 0..n-1.
+def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
+    """H^n of src, byte-identical to applying apply_one_qubit_gate(., q,
+    HADAMARD) for q = 0..n-1. Returns (result, the other buffer).
 
-    Each layer first copies the current layout's lowest bit, which is
-    always bit q, to the top: scratch viewed as (2, N/2) becomes the
-    transpose of src viewed as (N/2, 2). H then acts on the two halves in
-    one call, and after n such rotations the layout is natural again. The
-    per-qubit kernel's layer q is 2**(n-1-q) products (2,2)@(2,2**q);
-    for q >= 1 one (2,2)@(2,N/2) product computes every output entry with
-    the same arithmetic, and for q = 0, where numpy takes the
-    matrix-vector route, the elementwise h[i,0]*x0 + h[i,1]*x1 + 0.0
-    does, signed zeros included. src may be out; scratch is overwritten.
+    Layer q reads the current layout's lowest bit, which is always bit q,
+    and writes it as the top bit: its source viewed as (N/2, 2) and
+    transposed is a (2, N/2) operand that BLAS reads with leading
+    dimension 2, so H acts on both halves in one zgemm, with no copy. After
+    n layers the layout is natural again. The per-qubit kernel's layer q
+    is 2**(n-1-q) products (2,2)@(2,2**q); for q >= 1 one (2,2)@(2,N/2)
+    product computes every output entry with the same arithmetic, and for
+    q = 0, where numpy takes the matrix-vector route, the elementwise
+    h[i,0]*x0 + h[i,1]*x1 + 0.0 does, signed zeros included. Layer 0
+    writes out, using half of spare as its temporary or, if spare is src,
+    src's own dead x0; the later layers alternate between the two buffers.
     """
     h = HADAMARD.matrix
     half = out.size >> 1
-    for q in range(out.size.bit_length() - 1):
-        np.copyto(scratch.reshape(2, half), src.reshape(half, 2).T)
-        if q == 0:
-            x0, x1 = scratch[:half], scratch[half:]
-            y0, y1 = out[:half], out[half:]
-            np.multiply(h[0, 0], x0, out=y0)
-            np.multiply(h[0, 1], x1, out=y1)
-            y0 += y1
-            np.multiply(h[1, 1], x1, out=y1)
-            x0 *= h[1, 0]
-            y1 += x0
-            out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
-        else:
-            np.matmul(h, scratch.reshape(2, half), out=out.reshape(2, half))
-        src = out
+    x0, x1 = src[0::2], src[1::2]
+    y0, y1 = out[:half], out[half:]
+    tmp = x0 if spare is src else spare[:half]
+    np.multiply(h[0, 0], x0, out=y0)
+    np.multiply(h[0, 1], x1, out=y1)
+    y0 += y1
+    np.multiply(h[1, 1], x1, out=y1)
+    np.multiply(h[1, 0], x0, out=tmp)
+    y1 += tmp
+    out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
+    for _ in range(1, out.size.bit_length() - 1):
+        np.matmul(h, out.reshape(half, 2).T, out=spare.reshape(2, half))
+        out, spare = spare, out
+    return out, spare
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:

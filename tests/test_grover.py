@@ -204,6 +204,18 @@ class TestDiffusion:
         with pytest.raises(ValueError):
             modified_diffusion(uniform_superposition(3), gate_zr_y(0.5), rotation_target=3)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_either_result_buffer_equals_gate_by_gate_circuit(self, n):
+        # Each H^n ends in the buffer the parity of n picks; odd and even n
+        # and every target must give the circuit's bytes in a fresh array.
+        rng = np.random.default_rng(200 + n)
+        for target in range(n):
+            state = random_state(n, rng)
+            gate = gate_ry_h(float(rng.uniform(-math.pi, math.pi)))
+            out = modified_diffusion(state, gate, target)
+            assert out.amps.tobytes() == gate_by_gate_diffusion(state, gate, target).amps.tobytes()
+            assert not np.shares_memory(out.amps, state.amps)
+
     def test_peak_memory_is_two_registers(self):
         # The result and one scratch buffer; a third register-sized
         # allocation would show in large-register peak RSS.
@@ -256,25 +268,29 @@ class TestHadamardLayers:
     def test_equals_per_qubit_kernel_bytewise(self, family, n):
         amps = layer_test_amps(family, n, np.random.default_rng(n))
         before = amps.copy()
-        out, scratch = np.empty_like(amps), np.empty_like(amps)
-        grover._hadamard_layers(amps, out, scratch)
-        assert out.tobytes() == per_qubit_hadamards(amps).tobytes()
+        first, second = np.empty_like(amps), np.empty_like(amps)
+        result, spare = grover._hadamard_layers(amps, first, second)
+        assert result.tobytes() == per_qubit_hadamards(amps).tobytes()
         assert amps.tobytes() == before.tobytes()
-        # In place, as the closing H^n runs, equals out of place.
-        again = np.empty_like(out)
-        grover._hadamard_layers(out, again, scratch)
-        grover._hadamard_layers(out, out, scratch)
-        assert out.tobytes() == again.tobytes()
+        assert (result, spare) == ((first, second) if n % 2 else (second, first))
+        # The closing H^n's form, with the source as spare, equals out of place.
+        expected, _ = grover._hadamard_layers(result, np.empty_like(amps), np.empty_like(amps))
+        got, _ = grover._hadamard_layers(result, spare, result)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n, parts", [(1, [0.0, -0.0, 0.5, -0.5]), (2, [0.0, -0.0, 0.5])])
     def test_signed_zeros_bytewise(self, n, parts):
         # Every state whose real and imaginary parts come from `parts`:
         # exact zeros reach the output, and their signs must match too.
-        out, scratch = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+        first, second = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
         for combo in itertools.product(parts, repeat=2 << n):
             amps = np.array(combo).view(complex)
-            grover._hadamard_layers(amps, out, scratch)
-            assert out.tobytes() == per_qubit_hadamards(amps).tobytes(), combo
+            expected = per_qubit_hadamards(amps).tobytes()
+            result, _ = grover._hadamard_layers(amps, first, second)
+            assert result.tobytes() == expected, combo
+            src = amps.copy()
+            result, _ = grover._hadamard_layers(src, first, src)
+            assert result.tobytes() == expected, combo
 
 
 class TestNOptimal:
