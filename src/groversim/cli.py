@@ -9,9 +9,9 @@ command lines produce byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
@@ -183,26 +183,23 @@ def _csv_cell(value) -> str:
 
 
 def _emit(rows, meta, fmt, out, csv_trailer=()):
-    """Serialize rows (dicts with one key order) as CSV or JSON.
+    """Stream rows (dicts with one key order) as CSV or JSON.
 
     The key order of the first row gives the columns. Every command emits
-    at least one row, so the CSV header always exists.
+    at least one row, so the CSV header always exists. JSON goes out chunk
+    by chunk, so the document's text is never held whole.
     """
-    if fmt == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+    with out.open("w") if out is not None else contextlib.nullcontext(sys.stdout) as f:
+        if fmt == "json":
+            json.dump({"meta": meta, "rows": rows}, f, indent=2)
+            f.write("\n")
+            return
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(rows[0].keys())
         for r in rows:
             writer.writerow([_csv_cell(v) for v in r.values()])
         for extra in csv_trailer:
             writer.writerow([_csv_cell(v) for v in extra])
-        text = buf.getvalue()
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        out.write_text(text)
 
 
 @click.group()

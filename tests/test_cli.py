@@ -2,11 +2,13 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from conftest import csv_rows
+from groversim import cli as cli_module
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -309,6 +311,29 @@ class TestFormatsAndDeterminism:
         result = cli(*args, "--out", str(target))
         assert result.exit_code == 0
         assert target.read_text() == stdout
+
+    def test_streamed_json_equals_whole_text(self, cli, tmp_path):
+        args = ("recurrence", "--qubits", 30, "--iterations", 2000, "--format", "json")
+        target = tmp_path / "recurrence.json"
+        stdout = cli(*args).stdout_bytes
+        assert cli(*args, "--out", str(target)).exit_code == 0
+        doc = json.loads(stdout)
+        assert len(doc["rows"]) == 2000
+        expected = (json.dumps(doc, indent=2) + "\n").encode()
+        assert stdout == expected
+        assert target.read_bytes() == expected
+
+    def test_json_text_is_never_held_whole(self, tmp_path):
+        rows = [{"iteration": i, "amplitude": i / 7} for i in range(20000)]
+        target = tmp_path / "rows.json"
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            cli_module._emit(rows, {"command": "test"}, "json", target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < target.stat().st_size // 8
 
     def test_version_flag(self, cli):
         result = cli("--version")
