@@ -2,9 +2,10 @@
 
 Output is CSV (header row, '.' decimals, LF line endings, floats with 10
 significant digits) or JSON (one object with "meta" and "rows", floats at
-full round-trip precision). Exit codes: 0 success, 2 usage error, 3
-register-size error. Nothing in the pipeline is stochastic, so identical
-command lines produce byte-identical output.
+full round-trip precision). Exit codes: 0 success, 2 usage error
+(including an --out file that cannot be opened), 3 register-size error.
+Nothing in the pipeline is stochastic, so identical command lines produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _parse_marked(ctx, param, value):
 
 
 def _guarded(fn):
-    """Map domain errors to the documented exit codes."""
+    """Map domain errors and unwritable --out paths to the documented exit codes."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -92,7 +93,7 @@ def _guarded(fn):
         except SizeLimitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_SIZE)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
 

@@ -221,7 +221,7 @@ def modified_diffusion(
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
     m = gate.matrix
     amps, spare = _hadamard_layers(state.amps, np.empty_like(state.amps), np.empty_like(state.amps))
-    # Operand order as in apply_controlled_one_qubit_gate.
+    # Operand order as in the controlled-gate kernel of tests/oracle.py.
     a0, a1 = amps[1 << target], amps[0]
     amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
     amps[0] = m[1, 0] * a0 + m[1, 1] * a1

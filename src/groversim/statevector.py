@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 # 2**20 amplitudes = 16 MiB of complex128 per state. Comfortable headroom
 # over the n <= 13 experiments while refusing accidental huge allocations.
 MAX_QUBITS = 20
-
-# dense_operator_of materializes 2**n x 2**n matrices; test-oracle scale only.
-MAX_DENSE_QUBITS = 8
 
 UNITARITY_TOL = 1e-12
 
@@ -63,8 +60,6 @@ class OneQubitGate:
 
 
 HADAMARD = OneQubitGate(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-PAULI_X = OneQubitGate(np.array([[0, 1], [1, 0]]))
-PAULI_Z = OneQubitGate(np.array([[1, 0], [0, -1]]))
 
 
 @dataclass(eq=False)
@@ -99,17 +94,6 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
 
 
-def basis_state(n_qubits: int, index: int) -> StateVector:
-    """|index> as a statevector."""
-    check_register_size(n_qubits)
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
-        raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> StateVector:
     """Apply a 2x2 gate to one qubit of the register.
 
@@ -122,46 +106,6 @@ def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> 
         raise IndexError(f"qubit {qubit} out of range for {n}-qubit register")
     a = state.amps.reshape(-1, 2, 1 << qubit)
     return StateVector(n, np.matmul(gate.matrix, a).reshape(-1))
-
-
-def apply_controlled_one_qubit_gate(
-    state: StateVector,
-    controls: Iterable[int],
-    target: int,
-    gate: OneQubitGate,
-) -> StateVector:
-    """Apply `gate` to `target` on the subspace where every control bit is 1.
-
-    An empty control set reduces to apply_one_qubit_gate; every amplitude
-    outside the fully-controlled subspace is left untouched.
-    """
-    n = state.n_qubits
-    control_set = frozenset(int(c) for c in controls)
-    if not 0 <= target < n:
-        raise IndexError(f"target qubit {target} out of range for {n}-qubit register")
-    for c in control_set:
-        if not 0 <= c < n:
-            raise IndexError(f"control qubit {c} out of range for {n}-qubit register")
-    if target in control_set:
-        raise ValueError(f"target qubit {target} overlaps the control set")
-    if not control_set:
-        return apply_one_qubit_gate(state, target, gate)
-
-    control_mask = 0
-    for c in control_set:
-        control_mask |= 1 << c
-    target_bit = 1 << target
-    idx = np.arange(state.dim)
-    lower = idx[((idx & control_mask) == control_mask) & ((idx & target_bit) == 0)]
-    upper = lower | target_bit
-
-    m = gate.matrix
-    out = state.amps.copy()
-    a0 = state.amps[lower]
-    a1 = state.amps[upper]
-    out[lower] = m[0, 0] * a0 + m[0, 1] * a1
-    out[upper] = m[1, 0] * a0 + m[1, 1] * a1
-    return StateVector(n, out)
 
 
 def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVector:
@@ -185,25 +129,3 @@ def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray
         )
     return idx
 
-
-def dense_operator_of(
-    gate_sequence: Sequence[tuple[OneQubitGate, Iterable[int], int]],
-    n_qubits: int,
-) -> np.ndarray:
-    """Explicit matrix of a (gate, controls, target) sequence.
-
-    Built column-by-column by applying the sequence to each basis vector.
-    Independent check for the in-place kernels, hence the small size cap.
-    """
-    if not 1 <= n_qubits <= MAX_DENSE_QUBITS:
-        raise SizeLimitError(
-            f"dense operators support 1..{MAX_DENSE_QUBITS} qubits, got {n_qubits}"
-        )
-    dim = 1 << n_qubits
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        state = basis_state(n_qubits, col)
-        for gate, controls, target in gate_sequence:
-            state = apply_controlled_one_qubit_gate(state, controls, target, gate)
-        out[:, col] = state.amps
-    return out

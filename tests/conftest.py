@@ -3,15 +3,11 @@ import pytest
 from click.testing import CliRunner
 
 from groversim import (
-    HADAMARD,
-    PAULI_X,
     HybridOrder,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
     StateVector,
-    apply_controlled_one_qubit_gate,
-    apply_one_qubit_gate,
 )
 from groversim.cli import main as cli_main
 
@@ -33,20 +29,6 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(n_qubits, amps)
-
-
-def gate_by_gate_diffusion(state, gate, target):
-    """H^n X^n C-U X^n H^n, one full-register gate pass at a time."""
-    n = state.n_qubits
-    for layer in (HADAMARD, PAULI_X):
-        for q in range(n):
-            state = apply_one_qubit_gate(state, q, layer)
-    controls = frozenset(range(n)) - {target}
-    state = apply_controlled_one_qubit_gate(state, controls, target, gate)
-    for layer in (PAULI_X, HADAMARD):
-        for q in range(n):
-            state = apply_one_qubit_gate(state, q, layer)
-    return state
 
 
 @pytest.fixture

@@ -13,19 +13,14 @@ from click.testing import CliRunner
 
 from groversim import (
     HADAMARD,
-    PAULI_X,
-    PAULI_Z,
     GroverConfig,
     HybridOrder,
     MarkedSet,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
-    StateVector,
     SuccessModel,
-    apply_controlled_one_qubit_gate,
     apply_oracle,
-    dense_operator_of,
     find_peak_iteration,
     fixed_phase,
     gate_hr_y,
@@ -36,13 +31,15 @@ from groversim import (
     optimal_phase_search,
     recurrence_table,
     run_grover,
-    simulated_amplitude_series,
-    standard_diffusion_mean,
     success_probability_standard,
     sweep_compare,
     uniform_superposition,
 )
+from groversim.analysis import simulated_amplitude_series
 from groversim.cli import main as cli_main
+from groversim.grover import standard_diffusion_mean
+from conftest import random_state
+from oracle import PAULI_X, PAULI_Z, apply_sequence, dense_operator_of
 
 # Reference values the suite reproduces.
 REFERENCE_STANDARD_ITERATIONS = [1, 2, 3, 4, 6, 8, 12, 17, 25, 35, 50, 71]
@@ -228,16 +225,13 @@ def test_criterion_7_property_bundle():
     # unitarity over random circuits, n <= 10
     for _ in range(20):
         n = int(rng.integers(2, 11))
-        state = uniform_superposition(n)
-        for gate, controls, target in _random_circuit(rng, n, 30):
-            state = apply_controlled_one_qubit_gate(state, controls, target, gate)
+        state = apply_sequence(uniform_superposition(n), _random_circuit(rng, n, 30))
         if abs(state.norm_squared() - 1.0) >= 1e-10:
             failures.append(f"norm drift at n={n}")
 
     # gate-form vs mean-form diffusion, n <= 10
     for n in range(1, 11):
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = StateVector(n, amps / np.linalg.norm(amps))
+        state = random_state(n, rng)
         gate_form = modified_diffusion(state, gate_zr_y(0.0)).amps
         mean_form = standard_diffusion_mean(state).amps
         err = min(np.abs(gate_form - mean_form).max(), np.abs(gate_form + mean_form).max())
@@ -248,11 +242,8 @@ def test_criterion_7_property_bundle():
     for _ in range(8):
         n = int(rng.integers(1, 7))
         ops = _random_circuit(rng, n, 10) if n > 1 else [(HADAMARD, frozenset(), 0)]
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = StateVector(n, amps / np.linalg.norm(amps))
-        stepped = state
-        for gate, controls, target in ops:
-            stepped = apply_controlled_one_qubit_gate(stepped, controls, target, gate)
+        state = random_state(n, rng)
+        stepped = apply_sequence(state, ops)
         dense = dense_operator_of(ops, n) @ state.amps
         if np.abs(stepped.amps - dense).max() >= 1e-10:
             failures.append(f"dense mismatch at n={n}")

@@ -14,7 +14,6 @@ from groversim import (
     ScheduleKind,
     SizeLimitError,
     SuccessModel,
-    amplitude_ratio,
     find_peak_iteration,
     fixed_phase,
     iterate_grover,
@@ -22,7 +21,6 @@ from groversim import (
     optimal_phase_search,
     recurrence_table,
     run_grover,
-    simulated_amplitude_series,
     success_probability_modified,
     success_probability_standard,
     sweep_compare,
@@ -33,6 +31,8 @@ from groversim.analysis import (
     SEARCH_REFINE_TOL,
     _first_iteration_objective,
     _golden_section_max,
+    amplitude_ratio,
+    simulated_amplitude_series,
 )
 from groversim import grover
 from groversim.grover import gate_zr_y, modified_diffusion
@@ -161,16 +161,6 @@ class TestSuccessModels:
             SuccessModel(0.0)
         with pytest.raises(ValueError):
             SuccessModel(math.pi)
-
-    def test_closed_form_matches_simulation(self):
-        for n in range(2, 13):
-            model = SuccessModel.for_search(n)
-            marked = MarkedSet(frozenset({(1 << n) - 1}))
-            limit = n_optimal_standard(n, 1)
-            trace = run_grover(GroverConfig(n, marked, max_iterations=limit))
-            for record in trace.records:
-                expected = success_probability_standard(record.iteration, model)
-                assert abs(record.target_probability - expected) < 1e-9
 
 
 class TestOptimalPhaseSearch:

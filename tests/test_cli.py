@@ -382,5 +382,11 @@ class TestExitCodes:
     def test_malformed_range(self, cli, qubits):
         assert cli("sweep", "--qubits", qubits, "--schedule", "standard").exit_code == 2
 
+    def test_unwritable_out_is_usage_error(self, cli, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = cli("run", "--qubits", 3, "--out", out)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ") and str(out) in result.stderr
+
     def test_success_is_zero(self, cli):
         assert cli("run", "--qubits", 2, "--iterations", 1).exit_code == 0

@@ -5,13 +5,12 @@ import pytest
 
 from groversim import (
     HADAMARD,
-    PAULI_X,
-    PAULI_Z,
     gate_hr_y,
     gate_r_y,
     gate_ry_h,
     gate_zr_y,
 )
+from oracle import PAULI_X, PAULI_Z
 
 RNG = np.random.default_rng(2024)
 

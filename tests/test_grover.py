@@ -23,9 +23,7 @@ from groversim import (
     SizeLimitError,
     StateVector,
     adaptive_phase,
-    apply_one_qubit_gate,
     apply_oracle,
-    default_max_iterations,
     fixed_phase,
     gate_hr_y,
     gate_ry_h,
@@ -34,12 +32,13 @@ from groversim import (
     modified_diffusion,
     n_optimal_standard,
     run_grover,
-    standard_diffusion_mean,
     target_probability,
     uniform_superposition,
 )
 from groversim import grover
-from conftest import SCHEDULES, gate_by_gate_diffusion, random_state
+from groversim.grover import default_max_iterations, standard_diffusion_mean
+from conftest import SCHEDULES, random_state
+from oracle import apply_sequence, gate_by_gate_diffusion, layer
 
 MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -239,10 +238,7 @@ def layer_test_amps(family, n, rng):
 
 def per_qubit_hadamards(amps):
     n = amps.size.bit_length() - 1
-    state = StateVector(n, amps)
-    for q in range(n):
-        state = apply_one_qubit_gate(state, q, HADAMARD)
-    return state.amps
+    return apply_sequence(StateVector(n, amps), layer(HADAMARD, n)).amps
 
 
 class TestHadamardLayers:
@@ -335,16 +331,6 @@ class TestRunGrover:
         )
         for s, f in zip(standard.records, fixed.records):
             assert abs(s.target_probability - f.target_probability) < 1e-12
-
-    def test_forced_zero_angle_reduces_to_standard_any_n(self):
-        marked = MARK_ALL_ONES(5)
-        standard = run_grover(GroverConfig(5, marked, max_iterations=8))
-        state = uniform_superposition(5)
-        for record in standard.records:
-            state = apply_oracle(state, marked)
-            state = modified_diffusion(state, gate_zr_y(0.0))
-            p = abs(state.amps[31]) ** 2
-            assert abs(p - record.target_probability) < 1e-12
 
     def test_default_iteration_window(self):
         config = GroverConfig(6, MARK_ALL_ONES(6))

@@ -3,28 +3,30 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groversim import (
     HADAMARD,
-    PAULI_X,
-    PAULI_Z,
     StateVector,
-    apply_controlled_one_qubit_gate,
     apply_one_qubit_gate,
-    dense_operator_of,
     gate_hr_y,
     gate_r_y,
     gate_ry_h,
     gate_zr_y,
     modified_diffusion,
-    phase_flip_indices,
-    standard_diffusion_mean,
     uniform_superposition,
 )
-from conftest import gate_by_gate_diffusion, random_state
+from groversim.grover import standard_diffusion_mean
+from groversim.statevector import phase_flip_indices
+from conftest import random_state
+from oracle import (
+    PAULI_X,
+    PAULI_Z,
+    apply_sequence,
+    dense_operator_of,
+    gate_by_gate_diffusion,
+)
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -49,17 +51,11 @@ def circuits(draw, max_qubits=10, max_gates=20):
     return n, ops
 
 
-def apply_ops(state: StateVector, ops) -> StateVector:
-    for gate, controls, target in ops:
-        state = apply_controlled_one_qubit_gate(state, controls, target, gate)
-    return state
-
-
 @given(circuits())
 @settings(max_examples=60, deadline=None)
 def test_random_circuits_preserve_norm(circuit):
     n, ops = circuit
-    state = apply_ops(uniform_superposition(n), ops)
+    state = apply_sequence(uniform_superposition(n), ops)
     assert abs(state.norm_squared() - 1.0) < 1e-10
 
 
@@ -68,7 +64,7 @@ def test_random_circuits_preserve_norm(circuit):
 def test_kernel_matches_dense_operator(circuit, seed):
     n, ops = circuit
     state = random_state(n, np.random.default_rng(seed))
-    sequential = apply_ops(state, ops)
+    sequential = apply_sequence(state, ops)
     dense = dense_operator_of(ops, n) @ state.amps
     assert np.abs(sequential.amps - dense).max() < 1e-10
 
@@ -132,15 +128,3 @@ def test_overall_sign_never_changes_probabilities(n, seed):
     state = random_state(n, np.random.default_rng(seed))
     negated = StateVector(n, -state.amps)
     assert np.array_equal(np.abs(state.amps) ** 2, np.abs(negated.amps) ** 2)
-
-
-@given(angles)
-@settings(max_examples=100, deadline=None)
-def test_zry_factorization(theta):
-    product = gate_r_y(theta).matrix @ PAULI_Z.matrix
-    assert np.abs(gate_zr_y(theta).matrix - product).max() < 1e-15
-
-
-def test_hx_is_quarter_turn():
-    hx = HADAMARD.matrix @ PAULI_X.matrix
-    assert np.abs(hx - gate_r_y(-math.pi / 2).matrix).max() < 1e-15

@@ -5,20 +5,22 @@ import pytest
 
 from groversim import (
     HADAMARD,
-    PAULI_X,
-    PAULI_Z,
     OneQubitGate,
     SizeLimitError,
     StateVector,
-    apply_controlled_one_qubit_gate,
     apply_one_qubit_gate,
-    basis_state,
-    dense_operator_of,
-    phase_flip_indices,
     target_probability,
     uniform_superposition,
 )
+from groversim.statevector import phase_flip_indices
 from conftest import random_state
+from oracle import (
+    PAULI_X,
+    PAULI_Z,
+    apply_controlled_one_qubit_gate,
+    basis_state,
+    dense_operator_of,
+)
 
 
 class TestUniformSuperposition:
@@ -85,10 +87,7 @@ class TestControlledGate:
         assert np.allclose(state.amps, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_empty_control_set_is_plain_gate(self):
-        rng = np.random.default_rng(7)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(3, amps)
+        state = random_state(3, np.random.default_rng(7))
         controlled = apply_controlled_one_qubit_gate(state, set(), 1, HADAMARD)
         plain = apply_one_qubit_gate(state, 1, HADAMARD)
         assert np.array_equal(controlled.amps, plain.amps)
@@ -129,9 +128,7 @@ class TestPhaseFlip:
         assert np.array_equal(phase_flip_indices(state, set()).amps, state.amps)
 
     def test_double_flip_is_identity_exactly(self):
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        state = StateVector(4, amps / np.linalg.norm(amps))
+        state = random_state(4, np.random.default_rng(11))
         twice = phase_flip_indices(phase_flip_indices(state, {1, 7, 9}), {1, 7, 9})
         assert np.array_equal(twice.amps, state.amps)
 
@@ -153,9 +150,7 @@ class TestTargetProbability:
         assert target_probability(uniform_superposition(3), set()) == 0.0
 
     def test_complement_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = StateVector(3, amps / np.linalg.norm(amps))
+        state = random_state(3, np.random.default_rng(3))
         p = target_probability(state, {0, 2, 5})
         q = target_probability(state, {1, 3, 4, 6, 7})
         assert p + q == pytest.approx(1.0, abs=1e-12)
