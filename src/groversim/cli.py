@@ -84,7 +84,7 @@ def _parse_marked(ctx, param, value):
 
 
 def _guarded(fn):
-    """Map domain errors and unwritable --out paths to the documented exit codes."""
+    """Map domain errors to the documented exit codes."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -93,7 +93,7 @@ def _guarded(fn):
         except SizeLimitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_SIZE)
-        except (ValueError, IndexError, OSError) as exc:
+        except (ValueError, IndexError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
 
@@ -188,9 +188,14 @@ def _emit(rows, meta, fmt, out, csv_trailer=()):
 
     The key order of the first row gives the columns. Every command emits
     at least one row, so the CSV header always exists. JSON goes out chunk
-    by chunk, so the document's text is never held whole.
+    by chunk, so the document's text is never held whole. An --out file
+    that cannot be opened is a usage error; a failed write is not.
     """
-    with out.open("w") if out is not None else contextlib.nullcontext(sys.stdout) as f:
+    try:
+        dest = out.open("w") if out is not None else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(exc) from exc
+    with dest as f:
         if fmt == "json":
             json.dump({"meta": meta, "rows": rows}, f, indent=2)
             f.write("\n")

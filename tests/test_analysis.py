@@ -162,6 +162,16 @@ class TestSuccessModels:
         with pytest.raises(ValueError):
             SuccessModel(math.pi)
 
+    def test_closed_form_matches_simulation(self):
+        for n in range(2, 13):
+            model = SuccessModel.for_search(n)
+            marked = MarkedSet(frozenset({(1 << n) - 1}))
+            limit = n_optimal_standard(n, 1)
+            trace = run_grover(GroverConfig(n, marked, max_iterations=limit))
+            for record in trace.records:
+                expected = success_probability_standard(record.iteration, model)
+                assert abs(record.target_probability - expected) < 1e-9
+
 
 class TestOptimalPhaseSearch:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -386,7 +386,13 @@ class TestExitCodes:
         out = tmp_path / "missing" / "x.csv"
         result = cli("run", "--qubits", 3, "--out", out)
         assert result.exit_code == 2
-        assert result.stderr.startswith("error: ") and str(out) in result.stderr
+        assert result.output.startswith("error: ") and str(out) in result.output
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_failed_write_is_not_usage_error(self, cli):
+        result = cli("run", "--qubits", 3, "--out", "/dev/full")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, OSError)
 
     def test_success_is_zero(self, cli):
         assert cli("run", "--qubits", 2, "--iterations", 1).exit_code == 0

@@ -332,6 +332,16 @@ class TestRunGrover:
         for s, f in zip(standard.records, fixed.records):
             assert abs(s.target_probability - f.target_probability) < 1e-12
 
+    def test_forced_zero_angle_reduces_to_standard_any_n(self):
+        marked = MARK_ALL_ONES(5)
+        standard = run_grover(GroverConfig(5, marked, max_iterations=8))
+        state = uniform_superposition(5)
+        for record in standard.records:
+            state = apply_oracle(state, marked)
+            state = modified_diffusion(state, gate_zr_y(0.0))
+            p = abs(state.amps[31]) ** 2
+            assert abs(p - record.target_probability) < 1e-12
+
     def test_default_iteration_window(self):
         config = GroverConfig(6, MARK_ALL_ONES(6))
         assert config.max_iterations == default_max_iterations(6, 1) == 2 * 6 + 2

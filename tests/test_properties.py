@@ -128,3 +128,15 @@ def test_overall_sign_never_changes_probabilities(n, seed):
     state = random_state(n, np.random.default_rng(seed))
     negated = StateVector(n, -state.amps)
     assert np.array_equal(np.abs(state.amps) ** 2, np.abs(negated.amps) ** 2)
+
+
+@given(angles)
+@settings(max_examples=100, deadline=None)
+def test_zry_factorization(theta):
+    product = gate_r_y(theta).matrix @ PAULI_Z.matrix
+    assert np.abs(gate_zr_y(theta).matrix - product).max() < 1e-15
+
+
+def test_hx_is_quarter_turn():
+    hx = HADAMARD.matrix @ PAULI_X.matrix
+    assert np.abs(hx - gate_r_y(-math.pi / 2).matrix).max() < 1e-15
