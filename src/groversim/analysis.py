@@ -1,10 +1,11 @@
 """Classical cross-checks and comparison reports for the search schedules.
 
-Everything here is an independent route to numbers the simulator also
-produces: a two-amplitude recurrence for standard search with one marked
-state, closed-form sin^2 success models, a derivative-free search for the
-best diffusion rotation angle, and the standard-vs-modified iteration-count
-sweep.
+The recurrence and the success models are independent routes to numbers
+the simulator also produces: a two-amplitude recurrence for standard
+search with one marked state and closed-form sin^2 success models. The
+derivative-free search for the best first-iteration rotation angle runs
+the simulator's own diffusion kernel over batches of angles, and the
+sweep compares standard and modified iteration counts.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from .grover import (
     IterationRecord,
     MarkedSet,
     Schedule,
+    _hadamard_layers,
     iterate_grover,
     standard_diffusion_mean,
 )
 from .statevector import (
-    HADAMARD,
     SizeLimitError,
-    apply_one_qubit_gate,
     check_register_size,
     phase_flip_indices,
     uniform_superposition,
@@ -40,7 +40,7 @@ SEARCH_REFINE_TOL = 1e-9
 MAX_SEARCH_QUBITS = 12
 # Amplitudes the search evaluates at once (angles per batch times 2**n);
 # larger batches raise the search's peak memory.
-SEARCH_BATCH_AMPLITUDES = 4096
+SEARCH_BATCH_AMPLITUDES = 8192
 
 # The recurrence is pure float arithmetic in N = 2**n; keep N exact.
 MAX_RECURRENCE_QUBITS = 52
@@ -156,24 +156,15 @@ def optimal_phase_search(n_qubits: int) -> float:
     state), via a coarse grid scan over [-pi, pi) followed by golden-section
     refinement. Every objective value is bit-identical to
     target_probability(modified_diffusion(after_oracle, gate_zr_y(theta)),
-    marked), but only the part of the diffusion the angle reaches is run
-    per angle.
+    marked).
 
     modified_diffusion is H^n, then gate_zr_y(theta) on the amplitude pair
     at indices 2**(n-1) and 0, then H^n; only that pair depends on the
-    angle. Cached once per n: H^n of the post-oracle state, and the input
-    of each closing H layer with the pair left unrotated. Recomputed per
-    angle: the rotated pair, then at closing H layer q only the
-    2**(q+1)-amplitude blocks the pair has reached so far, two from q = 0
-    to n - 2 and the whole register at q = n - 1. Grid angles go in
-    batches of at most SEARCH_BATCH_AMPLITUDES amplitudes, which bounds
-    peak memory.
-
-    Each layer is np.matmul(H, blocks.reshape(k, 2, 2**q)), the per-item
-    (2,2)@(2,2**q) product apply_one_qubit_gate computes. BLAS rounding
-    depends on the product's shape: an elementwise butterfly or a
-    single-column product differs in the last bit, which moves the
-    committed angle table.
+    angle. The opening H^n runs once per n. Each batch of angles copies
+    its result into one register per angle, rotates each pair, and closes
+    the whole batch with one _hadamard_layers call, the kernel
+    modified_diffusion runs. A batch holds at most SEARCH_BATCH_AMPLITUDES
+    amplitudes, which bounds peak memory.
     """
     if not 2 <= n_qubits <= MAX_SEARCH_QUBITS:
         raise ValueError(
@@ -198,34 +189,22 @@ def _first_iteration_objective(n_qubits: int):
     gate_zr_y(theta), for a 1-D array of angles; see optimal_phase_search.
     """
     dim = 1 << n_qubits
-    half = dim >> 1
-    state = phase_flip_indices(uniform_superposition(n_qubits), {dim - 1})
-    for q in range(n_qubits):
-        state = apply_one_qubit_gate(state, q, HADAMARD)
-    a0, a1 = state.amps[half], state.amps[0]  # the pair gate_zr_y rotates
-    layer_inputs = []
-    for q in range(n_qubits - 1):
-        layer_inputs.append(state.amps.reshape(2, half))
-        state = apply_one_qubit_gate(state, q, HADAMARD)
-    h = HADAMARD.matrix
+    after_oracle = phase_flip_indices(uniform_superposition(n_qubits), {dim - 1}).amps
+    opened, _ = _hadamard_layers(after_oracle, np.empty_like(after_oracle), np.empty_like(after_oracle))
+    a0, a1 = opened[dim >> 1], opened[0]  # the pair gate_zr_y rotates
 
     def probabilities(thetas: np.ndarray) -> np.ndarray:
         # Entries [[c, s], [s, -c]] of gate_zr_y(theta), combined as
         # modified_diffusion combines them.
         c = np.array([math.cos(t / 2.0) for t in thetas], dtype=np.complex128)
         s = np.array([math.sin(t / 2.0) for t in thetas], dtype=np.complex128)
-        # Row 0 is the run of indices from 0, row 1 the run from 2**(n-1).
-        reached = np.empty((len(thetas), 2, 1), dtype=np.complex128)
-        reached[:, 0, 0] = s * a0 + -c * a1
-        reached[:, 1, 0] = c * a0 + s * a1
-        for q, layer_input in enumerate(layer_inputs):
-            width = 2 << q
-            blocks = np.empty((len(thetas), 2, width), dtype=np.complex128)
-            blocks[:] = layer_input[:, :width]
-            blocks[:, :, : width >> 1] = reached
-            reached = np.matmul(h, blocks.reshape(-1, 2, width >> 1)).reshape(blocks.shape)
-        amp = np.matmul(h, reached)[:, 1, -1]
-        return np.abs(amp) ** 2  # target_probability's |a|**2
+        batch = np.empty((len(thetas), dim), dtype=np.complex128)
+        batch[:] = opened
+        batch[:, dim >> 1] = c * a0 + s * a1
+        batch[:, 0] = s * a0 + -c * a1
+        closed, _ = _hadamard_layers(batch, np.empty_like(batch), batch)
+        # Amplitude dim - 1 of every register, in register order.
+        return np.abs(closed.reshape(-1)[-len(thetas) :]) ** 2  # target_probability's |a|**2
 
     return probabilities
 

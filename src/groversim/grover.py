@@ -244,12 +244,18 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     h[i,0]*x0 + h[i,1]*x1 + 0.0 does, signed zeros included. Layer 0
     writes out, using half of spare as its temporary or, if spare is src,
     src's own dead x0; the later layers alternate between the two buffers.
+
+    The three buffers are C-contiguous, all (N,) or all (k, N); a (k, N)
+    src is k registers and n comes from its last axis. Each layer is the
+    same one zgemm over the flat buffer, where register index j is one
+    more digit above bit n-1. The bits rotate past it, so the result holds
+    amplitude x of register j at flat index x*k + j.
     """
     h = HADAMARD.matrix
     half = out.size >> 1
-    x0, x1 = src[0::2], src[1::2]
-    y0, y1 = out[:half], out[half:]
-    tmp = x0 if spare is src else spare[:half]
+    x0, x1 = src.reshape(half, 2).T
+    y0, y1 = out.reshape(2, half)
+    tmp = x0 if spare is src else spare.reshape(2, half)[0]
     np.multiply(h[0, 0], x0, out=y0)
     np.multiply(h[0, 1], x1, out=y1)
     y0 += y1
@@ -257,7 +263,7 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     np.multiply(h[1, 0], x0, out=tmp)
     y1 += tmp
     out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
-    for _ in range(1, out.size.bit_length() - 1):
+    for _ in range(1, src.shape[-1].bit_length() - 1):
         np.matmul(h, out.reshape(half, 2).T, out=spare.reshape(2, half))
         out, spare = spare, out
     return out, spare

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from groversim import (
     theoretical_complexity,
 )
 from groversim.analysis import (
+    SEARCH_BATCH_AMPLITUDES,
     SEARCH_GRID_STEP,
     SEARCH_REFINE_TOL,
     _first_iteration_objective,
@@ -223,6 +225,32 @@ class TestFirstIterationObjective:
         full = self.full_simulation(12)
         thetas = np.array([-math.pi, -1.0, 0.0, fixed_phase(12), 3.0])
         assert objective(thetas).tolist() == [full(t) for t in thetas]
+
+    @pytest.mark.parametrize("n", [5, 9, 12])
+    def test_bytes_do_not_depend_on_batching(self, n):
+        # One zgemm spans every register of a batch; its rounding must not
+        # depend on how many registers there are.
+        objective = _first_iteration_objective(n)
+        thetas = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)[::105]
+        whole = objective(thetas).tobytes()
+        singles = np.concatenate([objective(thetas[i : i + 1]) for i in range(len(thetas))])
+        threes = np.concatenate([objective(thetas[i : i + 3]) for i in range(0, len(thetas), 3)])
+        assert singles.tobytes() == whole
+        assert threes.tobytes() == whole
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_full_batch_peak_memory(self, n):
+        # A batch is its (k, N) buffer and one more for the closing layers.
+        objective = _first_iteration_objective(n)
+        thetas = np.linspace(-3.0, 3.0, max(1, SEARCH_BATCH_AMPLITUDES >> n))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            objective(thetas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3 * SEARCH_BATCH_AMPLITUDES * 16 + 64 * 1024
 
 
 class TestFindPeak:

@@ -264,6 +264,26 @@ class TestHadamardLayers:
         got, _ = grover._hadamard_layers(result, spare, result)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "family, k, n", itertools.product(["complex", "signed-zero-basis"], [3, 5], range(1, 11))
+    )
+    def test_registers_in_rows_bytewise(self, family, k, n):
+        # A (k, N) buffer is k registers; amplitude x of register j comes
+        # out at flat index x*k + j.
+        rng = np.random.default_rng(1000 * k + n)
+        batch = np.array([layer_test_amps(family, n, rng) for _ in range(k)])
+        before = batch.copy()
+        expected = np.stack([per_qubit_hadamards(row) for row in batch], axis=1).tobytes()
+        first, second = np.empty_like(batch), np.empty_like(batch)
+        result, spare = grover._hadamard_layers(batch, first, second)
+        assert result.reshape(-1).tobytes() == expected
+        assert batch.tobytes() == before.tobytes()
+        assert result is (first if n % 2 else second) and spare is (second if n % 2 else first)
+        out = np.empty_like(batch)
+        result, spare = grover._hadamard_layers(batch, out, batch)
+        assert result.reshape(-1).tobytes() == expected
+        assert result is (out if n % 2 else batch) and spare is (batch if n % 2 else out)
+
     @pytest.mark.parametrize("n, parts", [(1, [0.0, -0.0, 0.5, -0.5]), (2, [0.0, -0.0, 0.5])])
     def test_signed_zeros_bytewise(self, n, parts):
         # Every state whose real and imaginary parts come from `parts`:
