@@ -161,10 +161,10 @@ def optimal_phase_search(n_qubits: int) -> float:
     modified_diffusion is H^n, then gate_zr_y(theta) on the amplitude pair
     at indices 2**(n-1) and 0, then H^n; only that pair depends on the
     angle. The opening H^n runs once per n. Each batch of angles copies
-    its result into one register per angle, rotates each pair, and closes
-    the whole batch with one _hadamard_layers call, the kernel
-    modified_diffusion runs. A batch holds at most SEARCH_BATCH_AMPLITUDES
-    amplitudes, which bounds peak memory.
+    that opened state into one register per angle, rotates each register's
+    pair, and closes the whole batch with one call of _hadamard_layers, the
+    kernel modified_diffusion runs. A batch holds at most
+    SEARCH_BATCH_AMPLITUDES amplitudes, which bounds peak memory.
     """
     if not 2 <= n_qubits <= MAX_SEARCH_QUBITS:
         raise ValueError(
@@ -203,7 +203,8 @@ def _first_iteration_objective(n_qubits: int):
         batch[:, dim >> 1] = c * a0 + s * a1
         batch[:, 0] = s * a0 + -c * a1
         closed, _ = _hadamard_layers(batch, np.empty_like(batch), batch)
-        # Amplitude dim - 1 of every register, in register order.
+        # Flat index x*k + j holds amplitude x of register j, so the last k
+        # entries are the marked amplitude dim - 1 of each register.
         return np.abs(closed.reshape(-1)[-len(thetas) :]) ** 2  # target_probability's |a|**2
 
     return probabilities

@@ -253,9 +253,10 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     """
     h = HADAMARD.matrix
     half = out.size >> 1
-    x0, x1 = src.reshape(half, 2).T
-    y0, y1 = out.reshape(2, half)
-    tmp = x0 if spare is src else spare.reshape(2, half)[0]
+    x, y = src.reshape(-1), out.reshape(-1)
+    x0, x1 = x[0::2], x[1::2]
+    y0, y1 = y[:half], y[half:]
+    tmp = x0 if spare is src else spare.reshape(-1)[:half]
     np.multiply(h[0, 0], x0, out=y0)
     np.multiply(h[0, 1], x1, out=y1)
     y0 += y1
