@@ -89,7 +89,7 @@ def simulated_amplitude_series(n_qubits: int, count: int) -> list[float]:
 
     Uses the mean-form diffusion so the sign convention matches the
     recurrence (the gate form differs by an alternating overall sign).
-    The state stays exactly real throughout.
+    The state is a float64 register throughout.
     """
     marked_index = (1 << n_qubits) - 1
     state = uniform_superposition(n_qubits)
@@ -196,9 +196,9 @@ def _first_iteration_objective(n_qubits: int):
     def probabilities(thetas: np.ndarray) -> np.ndarray:
         # Entries [[c, s], [s, -c]] of gate_zr_y(theta), combined as
         # modified_diffusion combines them.
-        c = np.array([math.cos(t / 2.0) for t in thetas], dtype=np.complex128)
-        s = np.array([math.sin(t / 2.0) for t in thetas], dtype=np.complex128)
-        batch = np.empty((len(thetas), dim), dtype=np.complex128)
+        c = np.array([math.cos(t / 2.0) for t in thetas], dtype=opened.dtype)
+        s = np.array([math.sin(t / 2.0) for t in thetas], dtype=opened.dtype)
+        batch = np.empty((len(thetas), dim), dtype=opened.dtype)
         batch[:] = opened
         batch[:, dim >> 1] = c * a0 + s * a1
         batch[:, 0] = s * a0 + -c * a1

@@ -3,7 +3,8 @@
 Output is CSV (header row, '.' decimals, LF line endings, floats with 10
 significant digits) or JSON (one object with "meta" and "rows", floats at
 full round-trip precision). Exit codes: 0 success, 2 usage error
-(including an --out file that cannot be opened), 3 register-size error.
+(including an --out file that cannot be opened; one whose directory does
+not exist is rejected before the command computes), 3 register-size error.
 Nothing in the pipeline is stochastic, so identical command lines produce
 byte-identical output.
 """
@@ -84,11 +85,18 @@ def _parse_marked(ctx, param, value):
 
 
 def _guarded(fn):
-    """Map domain errors to the documented exit codes."""
+    """Map domain errors to the documented exit codes.
+
+    An --out whose directory does not exist is a usage error, reported
+    before the command computes anything.
+    """
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
+            out = kwargs.get("out")
+            if out is not None and not out.parent.is_dir():
+                raise ValueError(f"cannot open {out}: {out.parent} is not a directory")
             return fn(*args, **kwargs)
         except SizeLimitError as exc:
             click.echo(f"error: {exc}", err=True)

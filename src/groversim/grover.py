@@ -195,9 +195,16 @@ def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
 
 
 def standard_diffusion_mean(state: StateVector) -> StateVector:
-    """Inversion about the mean: each amplitude a becomes 2m - a."""
-    m = np.mean(state.amps)
-    return StateVector(state.n_qubits, 2.0 * m - state.amps)
+    """Inversion about the mean: each amplitude a becomes 2m - a.
+
+    m is summed as numpy sums a complex128 register, so a float64 register
+    and its complex128 copy reflect to the same bytes.
+    """
+    amps = state.amps
+    m = np.mean(amps.astype(np.complex128, copy=False))
+    if not np.iscomplexobj(amps):
+        m = m.real
+    return StateVector(state.n_qubits, 2.0 * m - amps)
 
 
 def modified_diffusion(
@@ -213,14 +220,17 @@ def modified_diffusion(
     amplitudes exactly, so the result is bit-identical to the gate-by-gate
     circuit. Both H^n ping-pong between two register-sized buffers
     allocated here, and each ends in whichever one the parity of n gives;
-    see _hadamard_layers. The caller's state is only read.
+    see _hadamard_layers. The buffers take np.result_type of the state and
+    the gate, so a real state stays float64 under a real gate and a complex
+    gate gives a complex128 state. The caller's state is only read.
     """
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
     m = gate.matrix
-    amps, spare = _hadamard_layers(state.amps, np.empty_like(state.amps), np.empty_like(state.amps))
+    dtype = np.result_type(state.amps, m)
+    amps, spare = _hadamard_layers(state.amps, np.empty(state.dim, dtype), np.empty(state.dim, dtype))
     # Operand order as in the controlled-gate kernel of tests/oracle.py.
     a0, a1 = amps[1 << target], amps[0]
     amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
@@ -230,13 +240,21 @@ def modified_diffusion(
 
 
 def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
-    """H^n of src, byte-identical to applying apply_one_qubit_gate(., q,
-    HADAMARD) for q = 0..n-1. Returns (result, the other buffer).
+    """H^n of src. Returns (result, the other buffer).
+
+    H is taken in out's dtype, so one code path serves float64 and
+    complex128 buffers. On complex128 the result is byte-identical to
+    applying apply_one_qubit_gate(., q, HADAMARD) for q = 0..n-1; on
+    float64 it is byte-identical to the real part of the complex128 result
+    for the same real input, so a real register never needs complex
+    arithmetic. (The one exception is the sign of exact zeros at n = 2
+    with an odd number of registers, where the complex gemm's edge kernel
+    can return -0.0 for a zero sum; no probability depends on it.)
 
     Layer q reads the current layout's lowest bit, which is always bit q,
     and writes it as the top bit: its source viewed as (N/2, 2) and
     transposed is a (2, N/2) operand that BLAS reads with leading
-    dimension 2, so H acts on both halves in one zgemm, with no copy. After
+    dimension 2, so H acts on both halves in one gemm, with no copy. After
     n layers the layout is natural again. The per-qubit kernel's layer q
     is 2**(n-1-q) products (2,2)@(2,2**q); for q >= 1 one (2,2)@(2,N/2)
     product computes every output entry with the same arithmetic, and for
@@ -245,13 +263,14 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     writes out, using half of spare as its temporary or, if spare is src,
     src's own dead x0; the later layers alternate between the two buffers.
 
-    The three buffers are C-contiguous, all (N,) or all (k, N); a (k, N)
-    src is k registers and n comes from its last axis. Each layer is the
-    same one zgemm over the flat buffer, where register index j is one
+    The three buffers are C-contiguous, all (N,) or all (k, N), and of one
+    dtype, except that a float64 src may feed complex128 out and spare. A
+    (k, N) src is k registers and n comes from its last axis. Each layer
+    is the same one gemm over the flat buffer, where register index j is one
     more digit above bit n-1. The bits rotate past it, so the result holds
     amplitude x of register j at flat index x*k + j.
     """
-    h = HADAMARD.matrix
+    h = HADAMARD.matrix.astype(out.dtype)
     half = out.size >> 1
     x, y = src.reshape(-1), out.reshape(-1)
     x0, x1 = x[0::2], x[1::2]

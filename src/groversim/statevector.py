@@ -1,12 +1,14 @@
-"""Dense complex-amplitude register simulation.
+"""Dense register simulation.
 
 Bit convention: bit j of a basis index is qubit j, so qubit 0 is the least
 significant bit and applying X to qubit j maps basis index x to x ^ (1 << j).
 
-States are numpy complex128 vectors of length 2**n wrapped together with
-their qubit count. Gate application returns a new StateVector and never
-mutates or renormalizes its input: norm drift would indicate a kernel bug,
-so callers check it instead of hiding it.
+States are numpy vectors of length 2**n wrapped together with their qubit
+count: float64 while every operator applied so far is real, as in every
+schedule the package runs, and complex128 once complex input or a gate
+with a nonzero imaginary part enters. Gate application returns a new
+StateVector and never mutates or renormalizes its input: norm drift would
+indicate a kernel bug, so callers check it instead of hiding it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-# 2**20 amplitudes = 16 MiB of complex128 per state. Comfortable headroom
+# 2**20 amplitudes = 8 MiB of float64 per real state. Comfortable headroom
 # over the n <= 13 experiments while refusing accidental huge allocations.
 MAX_QUBITS = 20
 
@@ -38,14 +40,22 @@ def check_register_size(n_qubits: int) -> None:
         raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _float64_or_complex128(values) -> np.ndarray:
+    a = np.asarray(values)
+    return np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+
+
 @dataclass(frozen=True, eq=False)
 class OneQubitGate:
-    """A 2x2 complex unitary, row-major."""
+    """A 2x2 unitary, row-major: float64 when every imaginary part is zero,
+    complex128 otherwise."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = _float64_or_complex128(self.matrix)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = np.ascontiguousarray(m.real)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -64,7 +74,10 @@ HADAMARD = OneQubitGate(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 
 @dataclass(eq=False)
 class StateVector:
-    """2**n_qubits complex amplitudes; basis index bit j is qubit j."""
+    """2**n_qubits amplitudes; basis index bit j is qubit j.
+
+    Complex input is held as complex128, real or integer input as float64.
+    """
 
     n_qubits: int
     amps: np.ndarray
@@ -72,7 +85,7 @@ class StateVector:
     def __post_init__(self):
         self.n_qubits = int(self.n_qubits)
         check_register_size(self.n_qubits)
-        amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = _float64_or_complex128(self.amps)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError(
                 f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
@@ -91,7 +104,7 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     """All 2**n amplitudes equal to 1/sqrt(2**n)."""
     check_register_size(n_qubits)
     dim = 1 << n_qubits
-    return StateVector(n_qubits, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    return StateVector(n_qubits, np.full(dim, 1.0 / math.sqrt(dim)))
 
 
 def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> StateVector:
@@ -109,7 +122,7 @@ def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> 
 
 
 def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVector:
-    """Negate the amplitude at each listed basis index."""
+    """Negate the amplitude at each listed basis index, keeping the dtype."""
     idx = _validated_indices(state, indices)
     out = state.amps.copy()
     out[idx] *= -1.0

@@ -2,14 +2,21 @@
 
 One full-register gate pass at a time, plus explicit operator matrices
 built from the same passes; bit j of a basis index is qubit j.
+
+Byte-level comparisons run it on complex128 registers. On a float64
+register numpy's real matrix-vector route, taken by the qubit-0 layer,
+rounds differently; the fast path's float64 results equal the real part
+of the complex128 ones instead.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from groversim.grover import GroverConfig, IterationRecord
 from groversim.statevector import (
     HADAMARD,
     OneQubitGate,
@@ -17,6 +24,8 @@ from groversim.statevector import (
     StateVector,
     apply_one_qubit_gate,
     check_register_size,
+    phase_flip_indices,
+    target_probability,
 )
 
 # dense_operator_of materializes 2**n x 2**n matrices; test-oracle scale only.
@@ -114,3 +123,20 @@ def gate_by_gate_diffusion(state: StateVector, gate: OneQubitGate, target: int) 
     n = state.n_qubits
     h, x = layer(HADAMARD, n), layer(PAULI_X, n)
     return apply_sequence(state, [*h, *x, (gate, set(range(n)) - {target}, target), *x, *h])
+
+
+def gate_by_gate_records(config: GroverConfig) -> list[IterationRecord]:
+    """iterate_grover's records from a complex128 register whose every
+    diffusion is gate_by_gate_diffusion."""
+    n, schedule, marked = config.n_qubits, config.schedule, config.marked.indices
+    target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
+    dim = 1 << n
+    state = StateVector(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+    records = []
+    for i in range(1, config.max_iterations + 1):
+        state = phase_flip_indices(state, marked)
+        theta, gate = schedule.step(n, i)
+        state = gate_by_gate_diffusion(state, gate, target)
+        probability = target_probability(state, marked)
+        records.append(IterationRecord(i, theta, probability, float(np.mean(state.amps.real))))
+    return records

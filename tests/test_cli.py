@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -24,6 +25,8 @@ def _reproduce_jobs():
 
 
 REPRODUCE_JOBS = _reproduce_jobs()
+# sha256 digests of benchmark outputs, read here and never written.
+EXPECTED_DIGESTS = json.loads((REPO_DIR / "perfbench" / "expected.json").read_text())
 
 SCHEDULE_FLAGS = ["--schedule", "--eq10-interpretation", "--rotation-target", "--hybrid-order"]
 OUTPUT_FLAGS = ["--format", "--out"]
@@ -105,6 +108,14 @@ class TestRunCommand:
             "--hybrid-order", "ry-then-h",
         )
         assert default.output != literal.output
+
+    def test_n20_hybrid_matches_benchmark_digest(self, cli, tmp_path):
+        # The one byte-level pin above n = 13: three hybrid iterations on
+        # the largest register.
+        out = tmp_path / "run_n20_hybrid.csv"
+        result = cli("run", "--qubits", 20, "--iterations", 3, "--schedule", "hybrid-eq11-12", "--out", out)
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPECTED_DIGESTS["run_n20_hybrid.csv"]
 
 
 class TestSweepCommand:
@@ -386,6 +397,28 @@ class TestExitCodes:
         out = tmp_path / "missing" / "x.csv"
         result = cli("run", "--qubits", 3, "--out", out)
         assert result.exit_code == 2
+        assert result.output.startswith("error: ") and str(out) in result.output
+
+    @pytest.mark.parametrize(
+        "args, computes",
+        [
+            (["run", "--qubits", 3], "run_grover"),
+            (["curve", "--qubits", 3, "--iterations", 2], "run_grover"),
+            (["sweep", "--qubits", "2..13", "--schedule", "hybrid-eq11-12"], "sweep_compare"),
+            (["angles", "--qubits", "2..4"], "optimal_phase_search"),
+            (["recurrence", "--qubits", 5, "--iterations", 3], "recurrence_table"),
+        ],
+    )
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_bad_out_directory_fails_before_computing(self, cli, tmp_path, monkeypatch, args, computes, parent):
+        def unreachable(*_args, **_kwargs):
+            raise AssertionError(f"{computes} ran before --out was checked")
+
+        monkeypatch.setattr(cli_module, computes, unreachable)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / parent / "x.csv"
+        result = cli(*args, "--out", out)
+        assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and str(out) in result.output
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")

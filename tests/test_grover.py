@@ -17,6 +17,7 @@ from groversim import (
     IterationRecord,
     MarkedSet,
     NormDriftError,
+    OneQubitGate,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
@@ -38,7 +39,7 @@ from groversim import (
 from groversim import grover
 from groversim.grover import default_max_iterations, standard_diffusion_mean
 from conftest import SCHEDULES, random_state
-from oracle import apply_sequence, gate_by_gate_diffusion, layer
+from oracle import apply_sequence, gate_by_gate_diffusion, gate_by_gate_records, layer
 
 MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -415,6 +416,56 @@ class TestRunGrover:
         )
         trace = run_grover(config)
         assert trace.notes and "single marked state" in trace.notes[0]
+
+
+class TestRegisterDtype:
+    """Every schedule runs on a float64 register, byte-equal to complex128."""
+
+    def test_oracle_keeps_float64(self):
+        assert apply_oracle(uniform_superposition(4), MARK_ALL_ONES(4)).amps.dtype == np.float64
+
+    @pytest.mark.parametrize("constructor", [gate_zr_y, gate_ry_h, gate_hr_y])
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_real_gates_keep_float64(self, constructor, target):
+        state = apply_oracle(uniform_superposition(5), MARK_ALL_ONES(5))
+        gate = constructor(fixed_phase(5))
+        assert gate.matrix.dtype == np.float64
+        out = modified_diffusion(state, gate, target)
+        assert out.amps.dtype == np.float64
+        expected = gate_by_gate_diffusion(StateVector(5, state.amps.astype(complex)), gate, target)
+        assert out.amps.tobytes() == np.ascontiguousarray(expected.amps.real).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 16])
+    def test_mean_form_keeps_float64_and_complex_bytes(self, n):
+        state = StateVector(n, np.random.default_rng(n).normal(size=1 << n))
+        real = standard_diffusion_mean(state).amps
+        cplx = standard_diffusion_mean(StateVector(n, state.amps.astype(complex))).amps
+        assert real.dtype == np.float64
+        assert real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
+
+    @pytest.mark.parametrize("n, target", [(1, 0), (3, 2), (5, 1)])
+    def test_complex_gate_promotes_to_complex128(self, n, target):
+        state = apply_oracle(uniform_superposition(n), MARK_ALL_ONES(n))
+        gate = OneQubitGate(np.diag([1, 1j]))
+        out = modified_diffusion(state, gate, target)
+        assert out.amps.dtype == np.complex128
+        expected = gate_by_gate_diffusion(StateVector(n, state.amps.astype(complex)), gate, target)
+        assert out.amps.tobytes() == expected.amps.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, kind, order, interpretation",
+        itertools.product([2, 3, 5, 8], ScheduleKind, HybridOrder, RatioInterpretation),
+    )
+    def test_records_equal_complex_register_run_bytewise(self, n, kind, order, interpretation):
+        config = GroverConfig(n, MARK_ALL_ONES(n), Schedule(kind, interpretation, hybrid_order=order))
+
+        def record_bytes(records):
+            return [
+                (r.iteration, r.theta_used.hex(), r.target_probability.hex(), r.mean_amplitude.hex())
+                for r in records
+            ]
+
+        assert record_bytes(iterate_grover(config)) == record_bytes(gate_by_gate_records(config))
 
 
 class TestNormDrift:

@@ -17,7 +17,7 @@ from groversim import (
     modified_diffusion,
     uniform_superposition,
 )
-from groversim.grover import standard_diffusion_mean
+from groversim.grover import _hadamard_layers, standard_diffusion_mean
 from groversim.statevector import phase_flip_indices
 from conftest import random_state
 from oracle import (
@@ -140,3 +140,42 @@ def test_zry_factorization(theta):
 def test_hx_is_quarter_turn():
     hx = HADAMARD.matrix @ PAULI_X.matrix
     assert np.abs(hx - gate_r_y(-math.pi / 2).matrix).max() < 1e-15
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from([None, 1, 2, 3, 4, 5]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_float64_kernel_is_real_part_of_complex128_kernel_bytewise(n, k, signed_zeros, seed):
+    # None is one (N,) register, an integer k a (k, N) batch. The signed-zero
+    # family draws most entries from +-0.0 and the rest as random reals.
+    rng = np.random.default_rng(seed)
+    shape = (1 << n,) if k is None else (k, 1 << n)
+    x = rng.normal(size=shape)
+    if signed_zeros:
+        x = np.where(rng.random(shape) < 0.7, rng.choice([0.0, -0.0], size=shape), x)
+    real, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
+    z = x.astype(np.complex128)
+    cplx, _ = _hadamard_layers(z, np.empty_like(z), np.empty_like(z))
+    assert real.dtype == np.float64
+    expected = np.ascontiguousarray(cplx.real)
+    if n == 2 and (k or 1) % 2:
+        # A (2, 2k) gemm with k odd: the complex gemm's edge kernel can
+        # return -0.0 for a zero sum that IEEE arithmetic, and the real
+        # gemm, return as +0.0. Only the sign of zeros may differ.
+        assert np.array_equal(real, expected)
+        nonzero = expected != 0.0
+        assert real[nonzero].tobytes() == expected[nonzero].tobytes()
+    else:
+        assert real.tobytes() == expected.tobytes()
+
+
+@given(angles)
+@settings(max_examples=100, deadline=None)
+def test_real_gates_are_real_part_of_complex_products(theta):
+    ry, h = gate_r_y(theta).matrix.astype(complex), HADAMARD.matrix.astype(complex)
+    assert gate_ry_h(theta).matrix.tobytes() == np.ascontiguousarray((ry @ h).real).tobytes()
+    assert gate_hr_y(theta).matrix.tobytes() == np.ascontiguousarray((h @ ry).real).tobytes()

@@ -224,3 +224,41 @@ class TestStateVectorValidation:
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             StateVector(21, np.zeros(1 << 21, dtype=complex))
+
+
+class TestRegisterDtype:
+    """Real input stays float64; complex input stays complex128."""
+
+    def test_uniform_superposition_is_float64(self):
+        assert uniform_superposition(4).amps.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ([1, 0, 0, 0], np.float64),
+            (np.array([1, 0, 0, 0], dtype=np.float32), np.float64),
+            ([1.0, 0.0, 0.0, 0.0], np.float64),
+            ([1j, 0, 0, 0], np.complex128),
+            (np.array([1, 0, 0, 0], dtype=np.complex64), np.complex128),
+            (np.array([1, 0, 0, 0], dtype=np.complex128), np.complex128),
+        ],
+    )
+    def test_state_keeps_real_or_complex(self, values, dtype):
+        assert StateVector(2, values).amps.dtype == dtype
+
+    def test_phase_flip_keeps_dtype(self):
+        real = uniform_superposition(3)
+        cplx = StateVector(3, real.amps.astype(np.complex128))
+        assert phase_flip_indices(real, {7}).amps.dtype == np.float64
+        assert phase_flip_indices(cplx, {7}).amps.dtype == np.complex128
+
+    def test_gate_with_zero_imaginary_parts_is_float64(self):
+        gate = OneQubitGate(HADAMARD.matrix.astype(np.complex128))
+        assert gate.matrix.dtype == np.float64 and gate.matrix.flags.c_contiguous
+        assert gate.matrix.tobytes() == HADAMARD.matrix.tobytes()
+        assert PAULI_Z.matrix.dtype == np.float64
+
+    def test_gate_with_imaginary_part_is_complex128(self):
+        gate = OneQubitGate(np.diag([1, 1j]))
+        assert gate.matrix.dtype == np.complex128
+        assert (gate @ HADAMARD).matrix.dtype == np.complex128
