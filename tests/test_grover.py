@@ -206,10 +206,13 @@ class TestDiffusion:
         with pytest.raises(ValueError):
             modified_diffusion(uniform_superposition(3), gate_zr_y(0.5), rotation_target=3)
 
-    def test_peak_memory_is_two_registers(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_peak_memory_is_two_registers(self, dtype):
         # The result and one scratch buffer; a third register-sized
         # allocation would show in large-register peak RSS.
         state = random_state(16, np.random.default_rng(36))
+        if dtype is np.float64:
+            state = StateVector(16, state.amps.real.copy())
         gate = gate_zr_y(0.3)
         tracemalloc.start()
         try:
