@@ -30,7 +30,6 @@ from .statevector import (
     NormDriftError,
     OneQubitGate,
     StateVector,
-    apply_one_qubit_gate,  # noqa: F401 -- the benchmark tracer patches this binding
     check_register_size,
     phase_flip_indices,
     target_probability,
@@ -244,7 +243,7 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
 
     H is taken in out's dtype, so one code path serves float64 and
     complex128 buffers. On complex128 the result is byte-identical to
-    applying apply_one_qubit_gate(., q, HADAMARD) for q = 0..n-1; on
+    tests/oracle.py's per-qubit kernel applying H to qubits 0..n-1; on
     float64 it is byte-identical to the real part of the complex128 result
     for the same real input, so a real register never needs complex
     arithmetic. (The one exception is the sign of exact zeros at n = 2

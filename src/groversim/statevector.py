@@ -6,7 +6,7 @@ significant bit and applying X to qubit j maps basis index x to x ^ (1 << j).
 States are numpy vectors of length 2**n wrapped together with their qubit
 count: float64 while every operator applied so far is real, as in every
 schedule the package runs, and complex128 once complex input or a gate
-with a nonzero imaginary part enters. Gate application returns a new
+with a nonzero imaginary part enters. A phase flip returns a new
 StateVector and never mutates or renormalizes its input: norm drift would
 indicate a kernel bug, so callers check it instead of hiding it.
 """
@@ -105,20 +105,6 @@ def uniform_superposition(n_qubits: int) -> StateVector:
     check_register_size(n_qubits)
     dim = 1 << n_qubits
     return StateVector(n_qubits, np.full(dim, 1.0 / math.sqrt(dim)))
-
-
-def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> StateVector:
-    """Apply a 2x2 gate to one qubit of the register.
-
-    Acts on every index pair (x, x | 1 << qubit) with bit `qubit` clear in x:
-    viewing the amplitudes as a (high bits, qubit, low bits) tensor, the gate
-    is a broadcast matrix product over the middle axis.
-    """
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n}-qubit register")
-    a = state.amps.reshape(-1, 2, 1 << qubit)
-    return StateVector(n, np.matmul(gate.matrix, a).reshape(-1))
 
 
 def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVector:

@@ -22,7 +22,6 @@ from groversim.statevector import (
     OneQubitGate,
     SizeLimitError,
     StateVector,
-    apply_one_qubit_gate,
     check_register_size,
     phase_flip_indices,
     target_probability,
@@ -44,6 +43,20 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)
+
+
+def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> StateVector:
+    """Apply a 2x2 gate to one qubit of the register.
+
+    Acts on every index pair (x, x | 1 << qubit) with bit `qubit` clear in x:
+    viewing the amplitudes as a (high bits, qubit, low bits) tensor, the gate
+    is a broadcast matrix product over the middle axis.
+    """
+    n = state.n_qubits
+    if not 0 <= qubit < n:
+        raise IndexError(f"qubit {qubit} out of range for {n}-qubit register")
+    a = state.amps.reshape(-1, 2, 1 << qubit)
+    return StateVector(n, np.matmul(gate.matrix, a).reshape(-1))
 
 
 def apply_controlled_one_qubit_gate(

@@ -421,6 +421,36 @@ class TestRunGrover:
         assert trace.notes and "single marked state" in trace.notes[0]
 
 
+class TestMarkedIndexSymmetry:
+    """A run's success curve depends on the marked index only through bit t,
+    the rotation target: for j != t, X_j commutes with the diffusion and
+    fixes the uniform start."""
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    @pytest.mark.parametrize(
+        "n, indices",
+        [
+            *(pytest.param(n, range(1 << n), id=f"n{n}-every") for n in range(2, 6)),
+            *(
+                pytest.param(n, [0, 1, (1 << n - 1) - 1, 1 << n - 1, (1 << n) - 2], id=f"n{n}-five")
+                for n in (6, 7)
+            ),
+        ],
+    )
+    def test_curve_equals_bit_t_class_representative(self, schedule, n, indices):
+        t = n - 1 if schedule.rotation_target is None else schedule.rotation_target
+
+        def curve(index):
+            return list(iterate_grover(GroverConfig(n, MarkedSet(frozenset({index})), schedule)))
+
+        representatives = {1: curve((1 << n) - 1), 0: curve(((1 << n) - 1) ^ (1 << t))}
+        for index in indices:
+            records, expected = curve(index), representatives[index >> t & 1]
+            assert [r.theta_used for r in records] == [r.theta_used for r in expected]
+            gaps = [abs(r.target_probability - e.target_probability) for r, e in zip(records, expected)]
+            assert max(gaps) <= 1e-12, index
+
+
 class TestRegisterDtype:
     """Every schedule runs on a float64 register, byte-equal to complex128."""
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from groversim import (
     HADAMARD,
     StateVector,
-    apply_one_qubit_gate,
     gate_hr_y,
     gate_r_y,
     gate_ry_h,
@@ -23,6 +22,7 @@ from conftest import random_state
 from oracle import (
     PAULI_X,
     PAULI_Z,
+    apply_one_qubit_gate,
     apply_sequence,
     dense_operator_of,
     gate_by_gate_diffusion,

@@ -8,7 +8,6 @@ from groversim import (
     OneQubitGate,
     SizeLimitError,
     StateVector,
-    apply_one_qubit_gate,
     target_probability,
     uniform_superposition,
 )
@@ -18,6 +17,7 @@ from oracle import (
     PAULI_X,
     PAULI_Z,
     apply_controlled_one_qubit_gate,
+    apply_one_qubit_gate,
     basis_state,
     dense_operator_of,
 )
