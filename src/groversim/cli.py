@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,6 @@ from .analysis import (
     MAX_RECURRENCE_QUBITS,
     MAX_SEARCH_QUBITS,
     SuccessModel,
-    amplitude_ratio,
     optimal_phase_search,
     recurrence_table,
     simulated_amplitude_series,
@@ -191,25 +191,49 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(rows, meta, fmt, out, csv_trailer=()):
-    """Stream rows (dicts with one key order) as CSV or JSON.
+# Encodes one flat row with the C encoder (it is used only when indent is
+# None); the item separator carries the indentation that indent=2 gives a
+# row's items inside the document.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
-    The key order of the first row gives the columns. Every command emits
-    at least one row, so the CSV header always exists. JSON goes out chunk
-    by chunk, so the document's text is never held whole. An --out file
-    that cannot be opened is a usage error; a failed write is not.
+
+def _emit(rows, meta, fmt, out, csv_trailer=()):
+    """Stream rows (non-empty flat dicts with one key order) as CSV or JSON.
+
+    `rows` is any iterable and is consumed once. The key order of the first
+    row gives the CSV columns; CSV with no rows is a usage error, since it
+    would have no header. JSON is the bytes of
+    `json.dumps({"meta": meta, "rows": rows}, indent=2)` plus a newline:
+    the head is that call on meta alone, and each row is one C-encoded
+    object set in the layout indent=2 gives it. The bytes agree because a
+    row's values are scalars, so the item separator falls only between a
+    row's own items, where indent=2 writes the same text, and both
+    encoders write strings and numbers with the same functions. The text
+    is written row by row and never held whole. An --out file that cannot
+    be opened is a usage error; a failed write is not.
     """
+    rows = iter(rows)
+    if fmt == "csv":
+        first = next(rows, None)
+        if first is None:
+            raise ValueError("no rows to emit")
+        rows = itertools.chain([first], rows)
     try:
         dest = out.open("w") if out is not None else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise ValueError(exc) from exc
     with dest as f:
         if fmt == "json":
-            json.dump({"meta": meta, "rows": rows}, f, indent=2)
-            f.write("\n")
+            # Drop the head's closing "\n}"; the rows list closes the document.
+            f.write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
+            sep = "\n"
+            for row in rows:
+                f.write(sep + "    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }")
+                sep = ",\n"
+            f.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
             return
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(rows[0].keys())
+        writer.writerow(first.keys())
         for r in rows:
             writer.writerow([_csv_cell(v) for v in r.values()])
         for extra in csv_trailer:
@@ -324,18 +348,18 @@ def cmd_recurrence(qubits, iterations, fmt, out):
         if qubits <= RECURRENCE_SIM_MAX_QUBITS
         else None
     )
-    rows = []
-    for pos, row in enumerate(table):
-        ratio = table[pos + 1].a / row.a if pos + 1 < len(table) and row.a != 0.0 else None
-        rows.append(
-            {
-                "iteration": row.iteration,
-                "amplitude_recurrence": row.a,
-                "amplitude_statevector": simulated[pos] if simulated is not None else None,
-                "ratio": ratio,
-                "model_ratio": float(amplitude_ratio(row.iteration)),
-            }
-        )
+    rows = (
+        {
+            "iteration": row.iteration,
+            "amplitude_recurrence": row.a,
+            "amplitude_statevector": simulated[pos] if simulated is not None else None,
+            "ratio": table[pos + 1].a / row.a if pos + 1 < len(table) and row.a != 0.0 else None,
+            # float(amplitude_ratio(i)) without the Fraction: the two odd
+            # numbers are coprime and int true division rounds correctly.
+            "model_ratio": (2 * row.iteration + 1) / (2 * row.iteration - 1),
+        }
+        for pos, row in enumerate(table)
+    )
     meta = _base_meta("recurrence")
     meta.update(qubits=qubits, iterations=iterations)
     _emit(rows, meta, fmt, out)

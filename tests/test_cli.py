@@ -7,9 +7,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import csv_rows
 from groversim import cli as cli_module
+from groversim.analysis import amplitude_ratio
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -231,6 +234,11 @@ class TestRecurrenceCommand:
         _, rows = csv_rows(result.output)
         assert rows[0]["amplitude_statevector"] != ""
 
+    def test_model_ratio_is_the_exact_ratio_rounded(self):
+        # the model_ratio column's float form, over the benchmark's n = 30 window
+        for i in range(1, 51475):
+            assert (2 * i + 1) / (2 * i - 1) == float(amplitude_ratio(i))
+
 
 class TestCurveCommand:
     def test_models_start_at_initial_probability(self, cli):
@@ -350,6 +358,100 @@ class TestFormatsAndDeterminism:
         result = cli("--version")
         assert result.exit_code == 0
         assert "groversim" in result.output
+
+
+# Scalars of every JSON kind, with the strings that could be mistaken for
+# the layout the rows are placed in.
+json_scalars = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "}", ",\n      {", "\n    },\n    {", "ñ €𝄞"]),
+)
+json_keys = st.one_of(st.text(max_size=8), st.sampled_from(['a"b', "k\\", "x\ny", "é"]))
+
+
+@st.composite
+def flat_rows(draw):
+    """Zero or more flat dicts sharing one key order."""
+    keys = draw(st.lists(json_keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(min_value=0, max_value=6))
+    return [{k: draw(json_scalars) for k in keys} for _ in range(count)]
+
+
+json_meta = st.fixed_dictionaries(
+    {"command": st.text(), "notes": st.just([])},
+    optional={
+        "nested": st.recursive(
+            json_scalars,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_keys, inner, max_size=3),
+            max_leaves=8,
+        )
+    },
+)
+
+
+class CountingRows:
+    """Iterable over rows that counts its passes and the rows it hands out."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.passes = 0
+        self.served = 0
+
+    def __iter__(self):
+        self.passes += 1
+        for row in self.rows:
+            self.served += 1
+            yield row
+
+
+class TestEmit:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=flat_rows(), meta=json_meta)
+    def test_json_is_json_dumps_indent_2(self, tmp_path_factory, rows, meta):
+        target = tmp_path_factory.mktemp("emit") / "out.json"
+        cli_module._emit(rows, meta, "json", target)
+        assert target.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("filename, args", REPRODUCE_JOBS, ids=[job[0] for job in REPRODUCE_JOBS])
+    def test_reproduce_job_json_is_indent_2(self, cli, filename, args):
+        out = cli(*args, "--format", "json").output
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_no_rows(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows to emit"):
+            cli_module._emit(iter([]), {}, "csv", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+        cli_module._emit(iter([]), {}, "json", tmp_path / "x.json")
+        assert (tmp_path / "x.json").read_text() == '{\n  "meta": {},\n  "rows": []\n}\n'
+
+    @pytest.mark.parametrize("fmt, exit_code", [("csv", 2), ("json", 0)])
+    def test_command_with_no_rows(self, cli, monkeypatch, fmt, exit_code):
+        monkeypatch.setattr(cli_module, "recurrence_table", lambda *_args: [])
+        result = cli("recurrence", "--qubits", 20, "--iterations", 3, "--format", fmt)
+        assert result.exit_code == exit_code, result.output
+        if fmt == "csv":
+            assert result.output == "error: no rows to emit\n"
+        else:
+            assert json.loads(result.output)["rows"] == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_are_consumed_once(self, tmp_path, fmt):
+        rows = [{"i": i, "x": i / 3} for i in range(5)]
+        counted = CountingRows(rows)
+        cli_module._emit(counted, {}, fmt, tmp_path / "counted")
+        assert (counted.passes, counted.served) == (1, len(rows))
+        generator = (row for row in rows)
+        cli_module._emit(generator, {}, fmt, tmp_path / "generated")
+        assert next(generator, None) is None
+        cli_module._emit(rows, {}, fmt, tmp_path / "listed")
+        expected = (tmp_path / "listed").read_bytes()
+        assert (tmp_path / "counted").read_bytes() == expected
+        assert (tmp_path / "generated").read_bytes() == expected
 
 
 class TestExitCodes:
