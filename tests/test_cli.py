@@ -422,22 +422,17 @@ class TestEmit:
         out = cli(*args, "--format", "json").output
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    def test_no_rows(self, tmp_path):
-        with pytest.raises(ValueError, match="no rows to emit"):
-            cli_module._emit(iter([]), {}, "csv", tmp_path / "x.csv")
-        assert not (tmp_path / "x.csv").exists()
-        cli_module._emit(iter([]), {}, "json", tmp_path / "x.json")
-        assert (tmp_path / "x.json").read_text() == '{\n  "meta": {},\n  "rows": []\n}\n'
-
     @pytest.mark.parametrize("fmt, exit_code", [("csv", 2), ("json", 0)])
-    def test_command_with_no_rows(self, cli, monkeypatch, fmt, exit_code):
+    def test_command_with_no_rows(self, cli, monkeypatch, tmp_path, fmt, exit_code):
         monkeypatch.setattr(cli_module, "recurrence_table", lambda *_args: [])
-        result = cli("recurrence", "--qubits", 20, "--iterations", 3, "--format", fmt)
+        out = tmp_path / "rows"
+        result = cli("recurrence", "--qubits", 20, "--iterations", 3, "--format", fmt, "--out", out)
         assert result.exit_code == exit_code, result.output
         if fmt == "csv":
             assert result.output == "error: no rows to emit\n"
+            assert not out.exists()
         else:
-            assert json.loads(result.output)["rows"] == []
+            assert out.read_text().endswith(',\n  "rows": []\n}\n')
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_consumed_once(self, tmp_path, fmt):
