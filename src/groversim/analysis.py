@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import fmean
 
 import numpy as np
@@ -99,13 +98,6 @@ def simulated_amplitude_series(n_qubits: int, count: int) -> list[float]:
         state = phase_flip_indices(state, {marked_index})
         state = standard_diffusion_mean(state)
     return out
-
-
-def amplitude_ratio(iteration: int) -> Fraction:
-    """Leading-order growth ratio of consecutive marked amplitudes: (2i+1)/(2i-1)."""
-    if iteration < 1:
-        raise ValueError(f"iteration index must be >= 1, got {iteration}")
-    return Fraction(2 * iteration + 1, 2 * iteration - 1)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,9 @@ from .grover import (
     Schedule,
     ScheduleKind,
     fixed_phase,
-    run_grover,
+    iterate_grover,
 )
-from .statevector import SizeLimitError, check_register_size
+from .statevector import SizeLimitError, check_register_size, target_probability, uniform_superposition
 
 # Statevector cross-check column in `recurrence` is produced up to this size;
 # beyond it only the recurrence column is emitted.
@@ -240,6 +240,15 @@ def _emit(rows, meta, fmt, out, csv_trailer=()):
             writer.writerow([_csv_cell(v) for v in extra])
 
 
+def _initial_probability(config: GroverConfig) -> float:
+    """Target probability of the uniform state, before any iteration.
+
+    Called once the run's records are collected, so this register is never
+    alive alongside the run's own.
+    """
+    return target_probability(uniform_superposition(config.n_qubits), config.marked.indices)
+
+
 @click.group()
 @click.version_option(__version__, prog_name="groversim")
 def main():
@@ -264,16 +273,22 @@ def cmd_run(qubits, marked, iterations, schedule, fmt, out):
         check_register_size(qubits)
         marked = frozenset({(1 << qubits) - 1})
     config = GroverConfig(qubits, MarkedSet(marked), schedule, iterations)
-    trace = run_grover(config)
+    rows = [vars(r) for r in iterate_grover(config)]
+    notes = []
+    if schedule.kind is not ScheduleKind.STANDARD and config.marked.count > 1:
+        notes.append(
+            "modified schedules assume a single marked state; "
+            f"results for {config.marked.count} marked states are exploratory"
+        )
     meta = _base_meta("run", schedule)
     meta.update(
         qubits=qubits,
         marked=sorted(config.marked.indices),
         iterations=config.max_iterations,
-        initial_probability=trace.initial_probability,
-        notes=list(trace.notes),
+        initial_probability=_initial_probability(config),
+        notes=notes,
     )
-    _emit([vars(r) for r in trace.records], meta, fmt, out)
+    _emit(rows, meta, fmt, out)
 
 
 @main.command(name="sweep")
@@ -354,8 +369,7 @@ def cmd_recurrence(qubits, iterations, fmt, out):
             "amplitude_recurrence": row.a,
             "amplitude_statevector": simulated[pos] if simulated is not None else None,
             "ratio": table[pos + 1].a / row.a if pos + 1 < len(table) and row.a != 0.0 else None,
-            # float(amplitude_ratio(i)) without the Fraction: the two odd
-            # numbers are coprime and int true division rounds correctly.
+            # Int true division rounds the exact ratio correctly; no Fraction needed.
             "model_ratio": (2 * row.iteration + 1) / (2 * row.iteration - 1),
         }
         for pos, row in enumerate(table)
@@ -376,10 +390,10 @@ def cmd_curve(qubits, iterations, with_model, schedule, fmt, out):
     """Success probability per iteration (iteration 0 = initial state)."""
     check_register_size(qubits)
     marked = MarkedSet(frozenset({(1 << qubits) - 1}))
-    trace = run_grover(GroverConfig(qubits, marked, schedule, iterations))
+    config = GroverConfig(qubits, marked, schedule, iterations)
+    probabilities = [r.target_probability for r in iterate_grover(config)]
+    probabilities.insert(0, _initial_probability(config))
     model = SuccessModel.for_search(qubits, marked.count)
-
-    probabilities = [trace.initial_probability] + [r.target_probability for r in trace.records]
     rows = []
     for i, p in enumerate(probabilities):
         row = {"iteration": i, "probability": p}

@@ -30,6 +30,7 @@ from .statevector import (
     NormDriftError,
     OneQubitGate,
     StateVector,
+    _basis_index,
     check_register_size,
     phase_flip_indices,
     target_probability,
@@ -135,7 +136,7 @@ class MarkedSet:
     indices: frozenset
 
     def __post_init__(self):
-        idx = frozenset(int(i) for i in self.indices)
+        idx = frozenset(map(_basis_index, self.indices))
         if not idx:
             raise ValueError("marked set must be nonempty")
         if min(idx) < 0:
@@ -338,14 +339,6 @@ class IterationRecord:
     mean_amplitude: float  # mean of the real parts, diagnostics only
 
 
-@dataclass
-class RunTrace:
-    config: GroverConfig
-    records: list[IterationRecord]
-    initial_probability: float
-    notes: tuple[str, ...] = ()
-
-
 def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     """Prepare the uniform state, then yield one record per iteration of
     oracle + scheduled diffusion, up to max_iterations records.
@@ -373,22 +366,3 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
             target_probability=target_probability(state, marked.indices),
             mean_amplitude=float(np.mean(state.amps.real)),
         )
-
-
-def run_grover(config: GroverConfig) -> RunTrace:
-    """Every record of iterate_grover(config), exactly max_iterations of
-    them, with the uniform state's target probability and any notes.
-
-    Raises NormDriftError as iterate_grover does.
-    """
-    marked = config.marked
-    # No reference to the uniform state outlives this line, so the loop's
-    # peak memory stays one register plus its diffusion temporaries.
-    initial = target_probability(uniform_superposition(config.n_qubits), marked.indices)
-    notes: tuple[str, ...] = ()
-    if config.schedule.kind is not ScheduleKind.STANDARD and marked.count > 1:
-        notes = (
-            "modified schedules assume a single marked state; "
-            f"results for {marked.count} marked states are exploratory",
-        )
-    return RunTrace(config, list(iterate_grover(config)), initial, notes)

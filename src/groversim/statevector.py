@@ -14,6 +14,7 @@ indicate a kernel bug, so callers check it instead of hiding it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -121,10 +122,18 @@ def target_probability(state: StateVector, indices: Iterable[int]) -> float:
 
 
 def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray:
-    idx = np.unique(np.fromiter((int(i) for i in indices), dtype=np.int64, count=-1))
+    idx = np.unique(np.fromiter(map(_basis_index, indices), dtype=np.int64, count=-1))
     if idx.size and (idx[0] < 0 or idx[-1] >= state.dim):
         raise IndexError(
             f"basis index out of range [0, {state.dim}) for {state.n_qubits} qubits"
         )
     return idx
 
+
+
+def _basis_index(value) -> int:
+    """value as an int; a float or other non-integer is a ValueError, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"basis index must be an integer, got {value!r}") from None

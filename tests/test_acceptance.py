@@ -26,11 +26,11 @@ from groversim import (
     gate_hr_y,
     gate_r_y,
     gate_zr_y,
+    iterate_grover,
     modified_diffusion,
     n_optimal_standard,
     optimal_phase_search,
     recurrence_table,
-    run_grover,
     success_probability_standard,
     sweep_compare,
     uniform_superposition,
@@ -82,8 +82,8 @@ def test_criterion_1_standard_iteration_table_exact():
 
 
 def test_criterion_2_standard_probability_cross_check():
-    trace = run_grover(GroverConfig(5, MarkedSet(frozenset({31})), max_iterations=3))
-    p3 = trace.records[-1].target_probability
+    records = list(iterate_grover(GroverConfig(5, MarkedSet(frozenset({31})), max_iterations=3)))
+    p3 = records[-1].target_probability
     closed_form = math.sin(7.0 * math.asin(1.0 / math.sqrt(32.0))) ** 2
     ok = abs(p3 - REFERENCE_STANDARD_P3) < 5e-3 and abs(p3 - closed_form) < 1e-9
     _verdict(
@@ -147,8 +147,7 @@ def test_criterion_5_modified_headline_with_combination_report():
     print("schedule combination report (n=5, marked=31, window=6):")
     hits = []
     for schedule in combos:
-        trace = run_grover(GroverConfig(5, marked, schedule, 6))
-        peak_iter, peak_prob = find_peak_iteration(trace.records)
+        peak_iter, peak_prob = find_peak_iteration(list(iterate_grover(GroverConfig(5, marked, schedule, 6))))
         deviation = abs(peak_prob - REFERENCE_HEADLINE_PROBABILITY)
         meets = peak_iter == 3 and peak_prob >= 0.99 and deviation <= 5e-3
         hits.append(meets)
@@ -257,9 +256,9 @@ def test_criterion_7_property_bundle():
 
     # zero-angle schedule reduces to the standard trace
     marked = MarkedSet(frozenset({31}))
-    standard = run_grover(GroverConfig(5, marked, max_iterations=8))
+    standard = list(iterate_grover(GroverConfig(5, marked, max_iterations=8)))
     state = uniform_superposition(5)
-    for record in standard.records:
+    for record in standard:
         state = apply_oracle(state, marked)
         state = modified_diffusion(state, gate_zr_y(0.0))
         delta = abs(abs(state.amps[31]) ** 2 - record.target_probability)
@@ -270,10 +269,8 @@ def test_criterion_7_property_bundle():
     for n in range(2, 13):
         model = SuccessModel.for_search(n)
         limit = n_optimal_standard(n, 1)
-        trace = run_grover(
-            GroverConfig(n, MarkedSet(frozenset({(1 << n) - 1})), max_iterations=limit)
-        )
-        for record in trace.records:
+        marked = MarkedSet(frozenset({(1 << n) - 1}))
+        for record in iterate_grover(GroverConfig(n, marked, max_iterations=limit)):
             expected = success_probability_standard(record.iteration, model)
             if abs(record.target_probability - expected) >= 1e-9:
                 failures.append(f"sin^2 law gap at n={n}, i={record.iteration}")

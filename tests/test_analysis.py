@@ -10,7 +10,6 @@ from groversim import (
     GroverConfig,
     IterationRecord,
     MarkedSet,
-    RunTrace,
     Schedule,
     ScheduleKind,
     SizeLimitError,
@@ -21,7 +20,6 @@ from groversim import (
     n_optimal_standard,
     optimal_phase_search,
     recurrence_table,
-    run_grover,
     success_probability_modified,
     success_probability_standard,
     sweep_compare,
@@ -33,7 +31,6 @@ from groversim.analysis import (
     SEARCH_REFINE_TOL,
     _first_iteration_objective,
     _golden_section_max,
-    amplitude_ratio,
     simulated_amplitude_series,
 )
 from groversim import grover
@@ -46,14 +43,8 @@ from groversim.statevector import (
 from conftest import SCHEDULES
 
 
-def synthetic_trace(probs):
-    config = GroverConfig(
-        2, MarkedSet(frozenset({3})), max_iterations=max(len(probs), 1)
-    )
-    records = [
-        IterationRecord(i + 1, 0.0, p, 0.0) for i, p in enumerate(probs)
-    ]
-    return RunTrace(config, records, 0.25)
+def synthetic_records(probs):
+    return [IterationRecord(i + 1, 0.0, p, 0.0) for i, p in enumerate(probs)]
 
 
 class TestRecurrence:
@@ -104,7 +95,7 @@ class TestRecurrence:
         rows = recurrence_table(20, 8)
         for i in range(1, 7):
             measured = rows[i].a / rows[i - 1].a
-            model = float(amplitude_ratio(i))
+            model = float(Fraction(2 * i + 1, 2 * i - 1))
             assert abs(measured - model) < 1e-4
 
     def test_validation(self):
@@ -114,17 +105,6 @@ class TestRecurrence:
             recurrence_table(0, 3)
         with pytest.raises(SizeLimitError):
             recurrence_table(53, 3)
-
-
-class TestAmplitudeRatio:
-    def test_values(self):
-        assert amplitude_ratio(1) == Fraction(3, 1)
-        assert amplitude_ratio(2) == Fraction(5, 3)
-        assert amplitude_ratio(6) == Fraction(13, 11)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            amplitude_ratio(0)
 
 
 class TestSuccessModels:
@@ -169,8 +149,7 @@ class TestSuccessModels:
             model = SuccessModel.for_search(n)
             marked = MarkedSet(frozenset({(1 << n) - 1}))
             limit = n_optimal_standard(n, 1)
-            trace = run_grover(GroverConfig(n, marked, max_iterations=limit))
-            for record in trace.records:
+            for record in iterate_grover(GroverConfig(n, marked, max_iterations=limit)):
                 expected = success_probability_standard(record.iteration, model)
                 assert abs(record.target_probability - expected) < 1e-9
 
@@ -255,22 +234,18 @@ class TestFirstIterationObjective:
 
 class TestFindPeak:
     def test_strictly_rising_trace_peaks_at_end(self):
-        trace = synthetic_trace([0.1, 0.2, 0.3, 0.4])
-        assert find_peak_iteration(trace.records) == (4, 0.4)
+        assert find_peak_iteration(synthetic_records([0.1, 0.2, 0.3, 0.4])) == (4, 0.4)
 
     def test_flat_trace_peaks_first(self):
-        trace = synthetic_trace([0.5, 0.5, 0.5])
-        assert find_peak_iteration(trace.records) == (1, 0.5)
+        assert find_peak_iteration(synthetic_records([0.5, 0.5, 0.5])) == (1, 0.5)
 
     def test_first_crest_wins_over_later_revival(self):
         # oscillating success curves revive; the first crest is the answer
-        trace = synthetic_trace([0.3, 0.9, 0.2, 0.95])
-        assert find_peak_iteration(trace.records) == (2, 0.9)
+        assert find_peak_iteration(synthetic_records([0.3, 0.9, 0.2, 0.95])) == (2, 0.9)
 
     def test_standard_n5_peaks_at_four(self):
         marked = MarkedSet(frozenset({31}))
-        trace = run_grover(GroverConfig(5, marked, max_iterations=10))
-        it, p = find_peak_iteration(trace.records)
+        it, p = find_peak_iteration(list(iterate_grover(GroverConfig(5, marked, max_iterations=10))))
         assert it == 4
         assert p == pytest.approx(math.sin(9.0 * math.asin(1.0 / math.sqrt(32.0))) ** 2, abs=1e-9)
 
@@ -278,8 +253,7 @@ class TestFindPeak:
         # the 6-iteration window contains a higher revival at iteration 6;
         # the reported peak must still be the first crest at iteration 2
         marked = MarkedSet(frozenset({7}))
-        trace = run_grover(GroverConfig(3, marked, max_iterations=6))
-        it, _ = find_peak_iteration(trace.records)
+        it, _ = find_peak_iteration(list(iterate_grover(GroverConfig(3, marked, max_iterations=6))))
         assert it == 2
 
     def test_peak_matches_n_optimal_for_all_sizes(self):
@@ -356,10 +330,10 @@ class TestSweepCompare:
         for n in range(n_lo, 11):
             marked = MarkedSet(frozenset({(1 << n) - 1}))
             std_iters, std_peak = find_peak_iteration(
-                run_grover(GroverConfig(n, marked)).records
+                list(iterate_grover(GroverConfig(n, marked)))
             )
             mod_iters, mod_peak = find_peak_iteration(
-                run_grover(GroverConfig(n, marked, schedule)).records
+                list(iterate_grover(GroverConfig(n, marked, schedule)))
             )
             ratio = mod_iters / std_iters
             expected.append(

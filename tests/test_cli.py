@@ -1,9 +1,11 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_rows
+from groversim import StateVector, grover
 from groversim import cli as cli_module
-from groversim.analysis import amplitude_ratio
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
 REPO_DIR = Path(__file__).resolve().parent.parent
@@ -92,7 +94,19 @@ class TestRunCommand:
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["meta"]["notes"]
+        assert len(payload["meta"]["notes"]) == 1
+        assert "single marked state" in payload["meta"]["notes"][0]
+
+    @pytest.mark.parametrize("qubits, marked, share", [(2, "3", 1 / 4), (4, "3,5", 2 / 16)])
+    def test_standard_run_meta(self, cli, qubits, marked, share):
+        result = cli(
+            "run", "--qubits", qubits, "--marked", marked, "--schedule", "standard",
+            "--iterations", 1, "--format", "json",
+        )
+        assert result.exit_code == 0
+        meta = json.loads(result.output)["meta"]
+        assert meta["notes"] == []
+        assert meta["initial_probability"] == pytest.approx(share, abs=1e-15)
 
     def test_rotation_target_flag(self, cli):
         base = cli("run", "--qubits", 4, "--schedule", "fixed-eq9", "--iterations", 3)
@@ -237,7 +251,7 @@ class TestRecurrenceCommand:
     def test_model_ratio_is_the_exact_ratio_rounded(self):
         # the model_ratio column's float form, over the benchmark's n = 30 window
         for i in range(1, 51475):
-            assert (2 * i + 1) / (2 * i - 1) == float(amplitude_ratio(i))
+            assert (2 * i + 1) / (2 * i - 1) == float(Fraction(2 * i + 1, 2 * i - 1))
 
 
 class TestCurveCommand:
@@ -499,8 +513,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, computes",
         [
-            (["run", "--qubits", 3], "run_grover"),
-            (["curve", "--qubits", 3, "--iterations", 2], "run_grover"),
+            (["run", "--qubits", 3], "iterate_grover"),
+            (["curve", "--qubits", 3, "--iterations", 2], "iterate_grover"),
             (["sweep", "--qubits", "2..13", "--schedule", "hybrid-eq11-12"], "sweep_compare"),
             (["angles", "--qubits", "2..4"], "optimal_phase_search"),
             (["recurrence", "--qubits", 5, "--iterations", 3], "recurrence_table"),
@@ -517,6 +531,31 @@ class TestExitCodes:
         result = cli(*args, "--out", out)
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error: ") and str(out) in result.output
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["run", "curve"])
+    def test_norm_drift_writes_no_output(self, cli, tmp_path, monkeypatch, command, fmt):
+        # Every record is collected before the output is opened, so a drift
+        # at iteration 3 leaves neither the two earlier rows nor an --out file.
+        real = grover.modified_diffusion
+
+        def drift_from_third_call():
+            calls = itertools.count(1)
+
+            def diffusion(state, *args):
+                out = real(state, *args)
+                return out if next(calls) < 3 else StateVector(out.n_qubits, out.amps * 1.001)
+
+            monkeypatch.setattr(grover, "modified_diffusion", diffusion)
+
+        args = [command, "--qubits", 4, "--iterations", 4, "--format", fmt]
+        out = tmp_path / "x.out"
+        for extra in ([], ["--out", out]):
+            drift_from_third_call()
+            result = cli(*args, *extra)
+            assert result.exit_code == 2
+            assert re.fullmatch(r"error: statevector norm drifted to \S+ at iteration 3\n", result.output)
+        assert not out.exists()
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_failed_write_is_not_usage_error(self, cli):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,7 +33,6 @@ from groversim import (
     iterate_grover,
     modified_diffusion,
     n_optimal_standard,
-    run_grover,
     target_probability,
     uniform_superposition,
 )
@@ -320,47 +320,45 @@ class TestNOptimal:
             n_optimal_standard(3, 0)
 
 
-class TestRunGrover:
+class TestIterateGrover:
     def test_n2_standard_one_iteration_is_certain(self):
-        trace = run_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=1))
-        assert trace.records[-1].target_probability == pytest.approx(1.0, abs=1e-12)
-        assert trace.initial_probability == pytest.approx(0.25, abs=1e-15)
+        records = list(iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=1)))
+        assert records[-1].target_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_n5_standard_matches_closed_form(self):
         theta0 = math.asin(1.0 / math.sqrt(32.0))
-        trace = run_grover(GroverConfig(5, MARK_ALL_ONES(5), max_iterations=4))
-        p3 = trace.records[2].target_probability
-        p4 = trace.records[3].target_probability
+        records = list(iterate_grover(GroverConfig(5, MARK_ALL_ONES(5), max_iterations=4)))
+        p3 = records[2].target_probability
+        p4 = records[3].target_probability
         assert p3 == pytest.approx(math.sin(7.0 * theta0) ** 2, abs=1e-9)
         assert p4 == pytest.approx(math.sin(9.0 * theta0) ** 2, abs=1e-9)
 
     def test_n5_hybrid_headline(self):
         config = GroverConfig(5, MARK_ALL_ONES(5), Schedule(ScheduleKind.HYBRID), 3)
-        trace = run_grover(config)
-        p3 = trace.records[-1].target_probability
+        p3 = list(iterate_grover(config))[-1].target_probability
         assert p3 >= 0.99
         assert p3 == pytest.approx(0.997461, abs=5e-3)
 
     def test_hybrid_order_knob_changes_result(self):
         literal = Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H)
-        trace = run_grover(GroverConfig(5, MARK_ALL_ONES(5), literal, 3))
-        assert trace.records[-1].target_probability < 0.9
+        records = list(iterate_grover(GroverConfig(5, MARK_ALL_ONES(5), literal, 3)))
+        assert records[-1].target_probability < 0.9
 
     def test_fixed_schedule_with_zero_angle_reduces_to_standard(self):
         # n = 2 is the only size whose fixed angle is zero, so the reduction
         # must be exact there through the public run loop.
-        standard = run_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=4))
-        fixed = run_grover(
-            GroverConfig(2, MARK_ALL_ONES(2), Schedule(ScheduleKind.FIXED), 4)
+        standard = list(iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=4)))
+        fixed = list(
+            iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), Schedule(ScheduleKind.FIXED), 4))
         )
-        for s, f in zip(standard.records, fixed.records):
+        for s, f in zip(standard, fixed):
             assert abs(s.target_probability - f.target_probability) < 1e-12
 
     def test_forced_zero_angle_reduces_to_standard_any_n(self):
         marked = MARK_ALL_ONES(5)
-        standard = run_grover(GroverConfig(5, marked, max_iterations=8))
+        standard = list(iterate_grover(GroverConfig(5, marked, max_iterations=8)))
         state = uniform_superposition(5)
-        for record in standard.records:
+        for record in standard:
             state = apply_oracle(state, marked)
             state = modified_diffusion(state, gate_zr_y(0.0))
             p = abs(state.amps[31]) ** 2
@@ -372,23 +370,18 @@ class TestRunGrover:
 
     def test_trace_shape_and_bookkeeping(self):
         config = GroverConfig(4, MARK_ALL_ONES(4), Schedule(ScheduleKind.FIXED), 5)
-        trace = run_grover(config)
-        assert len(trace.records) == 5
-        assert [r.iteration for r in trace.records] == [1, 2, 3, 4, 5]
-        for r in trace.records:
+        records = list(iterate_grover(config))
+        assert len(records) == 5
+        assert [r.iteration for r in records] == [1, 2, 3, 4, 5]
+        for r in records:
             assert r.theta_used == fixed_phase(4)
             assert 0.0 <= r.target_probability <= 1.0 + 1e-12
 
     def test_adaptive_schedule_theta_progression(self):
         schedule = Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.ADDITIVE)
-        trace = run_grover(GroverConfig(4, MARK_ALL_ONES(4), schedule, 3))
+        records = iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), schedule, 3))
         expected = [adaptive_phase(4, i) for i in (1, 2, 3)]
-        assert [r.theta_used for r in trace.records] == expected
-
-    def test_multi_marked_standard_works(self):
-        trace = run_grover(GroverConfig(4, MarkedSet(frozenset({3, 5})), max_iterations=2))
-        assert trace.notes == ()
-        assert trace.initial_probability == pytest.approx(2.0 / 16.0, abs=1e-15)
+        assert [r.theta_used for r in records] == expected
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     @pytest.mark.parametrize("n", range(3, 7))
@@ -404,21 +397,14 @@ class TestRunGrover:
             state = modified_diffusion(state, gate, schedule.rotation_target)
             p = target_probability(state, marked.indices)
             expected.append(IterationRecord(i, theta, p, float(np.mean(state.amps.real))))
-        assert run_grover(config).records == expected
+        assert list(iterate_grover(config)) == expected
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
-    def test_iterate_grover_yields_the_run_records(self, schedule):
+    def test_stopping_early_yields_a_prefix(self, schedule):
         config = GroverConfig(5, MarkedSet(frozenset({1, 5})), schedule)
-        records = run_grover(config).records
-        assert list(iterate_grover(config)) == records
+        records = list(iterate_grover(config))
+        assert len(records) == config.max_iterations
         assert list(itertools.islice(iterate_grover(config), 3)) == records[:3]
-
-    def test_multi_marked_modified_is_flagged(self):
-        config = GroverConfig(
-            4, MarkedSet(frozenset({3, 5})), Schedule(ScheduleKind.FIXED), 2
-        )
-        trace = run_grover(config)
-        assert trace.notes and "single marked state" in trace.notes[0]
 
 
 class TestMarkedIndexSymmetry:
@@ -512,7 +498,7 @@ class TestNormDrift:
     def test_drift_raises(self, monkeypatch):
         monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
         with pytest.raises(NormDriftError, match="norm drifted"):
-            run_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
+            list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3)))
 
     def test_drift_raises_from_the_generator(self, monkeypatch):
         monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
@@ -523,18 +509,18 @@ class TestNormDrift:
     def test_drift_inside_tolerance_passes(self, monkeypatch):
         factor = math.sqrt(1.0 + 5e-11)
         monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(factor))
-        trace = run_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=1))
-        assert len(trace.records) == 1
+        records = list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=1)))
+        assert len(records) == 1
 
     def test_drift_raises_under_optimize_flag(self):
         script = textwrap.dedent(
             """
-            from groversim import GroverConfig, MarkedSet, NormDriftError, StateVector, grover, run_grover
+            from groversim import GroverConfig, MarkedSet, NormDriftError, StateVector, grover, iterate_grover
             if __debug__:
                 raise SystemExit(2)  # not running under -O
             grover.modified_diffusion = lambda s, *a: StateVector(s.n_qubits, 2 * s.amps)
             try:
-                run_grover(GroverConfig(3, MarkedSet(frozenset({7})), max_iterations=1))
+                list(iterate_grover(GroverConfig(3, MarkedSet(frozenset({7})), max_iterations=1)))
             except NormDriftError:
                 raise SystemExit(0)
             raise SystemExit(1)
@@ -561,6 +547,16 @@ class TestConfigValidation:
     def test_empty_marked_set(self):
         with pytest.raises(ValueError):
             MarkedSet(frozenset())
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), -0.5])
+    def test_non_integer_marked_index_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            MarkedSet(frozenset({3, bad}))
+
+    def test_numpy_integer_marked_index_is_accepted(self):
+        marked = MarkedSet(frozenset({np.int64(3), 5}))
+        assert marked.indices == {3, 5}
+        assert all(type(i) is int for i in marked.indices)
 
     def test_rotation_target_out_of_range(self):
         with pytest.raises(ValueError):

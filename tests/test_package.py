@@ -12,9 +12,9 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_API = ["__version__", *"""
     HADAMARD MAX_QUBITS NormDriftError OneQubitGate SizeLimitError StateVector
     target_probability uniform_superposition
-    GroverConfig HybridOrder IterationRecord MarkedSet RatioInterpretation RunTrace
+    GroverConfig HybridOrder IterationRecord MarkedSet RatioInterpretation
     Schedule ScheduleKind adaptive_phase apply_oracle fixed_phase gate_hr_y gate_r_y
-    gate_ry_h gate_zr_y iterate_grover modified_diffusion n_optimal_standard run_grover
+    gate_ry_h gate_zr_y iterate_grover modified_diffusion n_optimal_standard
     ComparisonRow SuccessModel SweepReport find_peak_iteration optimal_phase_search
     recurrence_table success_probability_modified success_probability_standard
     sweep_compare theoretical_complexity
@@ -30,6 +30,12 @@ def test_all_is_the_documented_api():
     assert groversim.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         getattr(groversim, name)
+
+
+def test_iterate_grover_is_the_only_run_interface():
+    for module in (groversim, grover):
+        assert not hasattr(module, "run_grover")
+        assert not hasattr(module, "RunTrace")
 
 
 def test_test_oracle_is_not_shipped():

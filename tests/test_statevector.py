@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestTargetProbability:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             target_probability(uniform_superposition(2), {-1})
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), -0.5])
+    def test_non_integer_index_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            target_probability(uniform_superposition(2), [bad])
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            phase_flip_indices(uniform_superposition(2), [bad])
+
+    def test_numpy_integer_index_is_accepted(self):
+        state = uniform_superposition(2)
+        assert target_probability(state, [np.int64(3)]) == target_probability(state, [3])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_equals_sum_of_squared_moduli_bitwise(self, count):
