@@ -16,10 +16,12 @@ import csv
 import functools
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -43,7 +45,7 @@ from .grover import (
     fixed_phase,
     iterate_grover,
 )
-from .statevector import SizeLimitError, check_register_size, target_probability, uniform_superposition
+from .statevector import SizeLimitError, check_register_size
 
 # Statevector cross-check column in `recurrence` is produced up to this size;
 # beyond it only the recurrence column is emitted.
@@ -243,10 +245,12 @@ def _emit(rows, meta, fmt, out, csv_trailer=()):
 def _initial_probability(config: GroverConfig) -> float:
     """Target probability of the uniform state, before any iteration.
 
-    Called once the run's records are collected, so this register is never
-    alive alongside the run's own.
+    Only the M marked amplitudes are built, each 1/sqrt(N) as in
+    uniform_superposition; target_probability's |a|**2 and sum over the
+    same M values give the same bytes without a full register.
     """
-    return target_probability(uniform_superposition(config.n_qubits), config.marked.indices)
+    amps = np.full(config.marked.count, 1.0 / math.sqrt(1 << config.n_qubits))
+    return float((np.abs(amps) ** 2).sum())
 
 
 @click.group()

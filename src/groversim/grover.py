@@ -31,9 +31,10 @@ from .statevector import (
     OneQubitGate,
     StateVector,
     _basis_index,
+    _probability,
+    _validated_indices,
     check_register_size,
     phase_flip_indices,
-    target_probability,
     uniform_superposition,
 )
 
@@ -218,25 +219,37 @@ def modified_diffusion(
     sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
     so that pair is updated between the H layers. X's 0/1 matmul moves
     amplitudes exactly, so the result is bit-identical to the gate-by-gate
-    circuit. Both H^n ping-pong between two register-sized buffers
-    allocated here, and each ends in whichever one the parity of n gives;
-    see _hadamard_layers. The buffers take np.result_type of the state and
-    the gate, so a real state stays float64 under a real gate and a complex
-    gate gives a complex128 state. The caller's state is only read.
+    circuit. The work runs in two register-sized buffers allocated here;
+    see _diffuse. They take np.result_type of the state and the gate, so a
+    real state stays float64 under a real gate and a complex gate gives a
+    complex128 state. The caller's state is only read.
     """
     n = state.n_qubits
     target = n - 1 if rotation_target is None else rotation_target
     if not 0 <= target < n:
         raise ValueError(f"rotation target {target} out of range for {n} qubits")
-    m = gate.matrix
-    dtype = np.result_type(state.amps, m)
-    amps, spare = _hadamard_layers(state.amps, np.empty(state.dim, dtype), np.empty(state.dim, dtype))
+    dtype = np.result_type(state.amps, gate.matrix)
+    out, spare = np.empty(state.dim, dtype), np.empty(state.dim, dtype)
+    amps, _ = _diffuse(state.amps, out, spare, gate.matrix, target)
+    return StateVector(n, amps)
+
+
+def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray, target: int) -> tuple:
+    """H^n, then the 2x2 matrix m on the amplitude pair (2**target, 0),
+    then H^n: modified_diffusion's operator applied to src.
+
+    Returns (result, the other buffer). Both H^n ping-pong between two
+    buffers and end in whichever one the parity of n gives; see
+    _hadamard_layers. spare may be src, whose content is dead once the
+    first layer has read it, so a run diffuses its register in place and
+    holds two buffers in all.
+    """
+    amps, spare = _hadamard_layers(src, out, spare)
     # Operand order as in the controlled-gate kernel of tests/oracle.py.
     a0, a1 = amps[1 << target], amps[0]
     amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
     amps[0] = m[1, 0] * a0 + m[1, 1] * a1
-    amps, _ = _hadamard_layers(amps, spare, amps)
-    return StateVector(n, amps)
+    return _hadamard_layers(amps, spare, amps)
 
 
 def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
@@ -346,16 +359,28 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     Each record is computed only when it is pulled, so a consumer that stops
     early skips the remaining iterations. Raises NormDriftError if the
     squared norm leaves 1 by 1e-10 or more.
+
+    The run owns two register-sized buffers for its whole length: the
+    oracle negates the marked amplitudes in place, with apply_oracle's
+    arithmetic, and _diffuse works in the register and the other buffer.
+    The records are byte-identical to re-simulating each iteration with
+    apply_oracle, modified_diffusion and target_probability. The marked
+    indices are resolved once per run.
     """
     n = config.n_qubits
     schedule = config.schedule
-    marked = config.marked
+    target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
     state = uniform_superposition(n)
+    marked = _validated_indices(state, config.marked.indices)
+    amps, spare = state.amps, np.empty_like(state.amps)
     for i in range(1, config.max_iterations + 1):
-        state = apply_oracle(state, marked)
-        theta, gate = schedule.step(n, i)
-        state = modified_diffusion(state, gate, schedule.rotation_target)
-        total = state.norm_squared()
+        # Only the adaptive gate changes after iteration 2 (Schedule.step),
+        # so the others are built twice per run.
+        if i <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
+            theta, gate = schedule.step(n, i)
+        amps[marked] *= -1.0
+        amps, spare = _diffuse(amps, spare, amps, gate.matrix, target)
+        total = float(np.vdot(amps, amps).real)
         if not abs(total - 1.0) < 1e-10:
             raise NormDriftError(
                 f"statevector norm drifted to {total!r} at iteration {i}"
@@ -363,6 +388,6 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
         yield IterationRecord(
             iteration=i,
             theta_used=theta,
-            target_probability=target_probability(state, marked.indices),
-            mean_amplitude=float(np.mean(state.amps.real)),
+            target_probability=_probability(amps, marked),
+            mean_amplitude=float(np.mean(amps.real)),
         )

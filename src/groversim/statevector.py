@@ -118,7 +118,11 @@ def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVecto
 
 def target_probability(state: StateVector, indices: Iterable[int]) -> float:
     """Total probability mass on the listed basis indices (exact readout)."""
-    return float((np.abs(state.amps[_validated_indices(state, indices)]) ** 2).sum())
+    return _probability(state.amps, _validated_indices(state, indices))
+
+
+def _probability(amps: np.ndarray, idx: np.ndarray) -> float:
+    return float((np.abs(amps[idx]) ** 2).sum())
 
 
 def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray:

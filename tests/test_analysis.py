@@ -345,14 +345,16 @@ class TestSweepCompare:
         assert sweep_compare(n_lo, 10, schedule).rows == expected
 
     def test_simulates_only_up_to_one_past_each_crest(self, monkeypatch):
+        # iterate_grover runs one _diffuse per iteration.
         calls = 0
+        real = grover._diffuse
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return modified_diffusion(*args)
+            return real(*args)
 
-        monkeypatch.setattr(grover, "modified_diffusion", counted)
+        monkeypatch.setattr(grover, "_diffuse", counted)
         row = sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows[0]
         assert (row.std_iters, row.mod_iters) == (71, 50)
         assert calls == 72 + 51

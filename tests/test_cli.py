@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_rows
-from groversim import StateVector, grover
+from groversim import grover
 from groversim import cli as cli_module
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
@@ -537,16 +537,18 @@ class TestExitCodes:
     def test_norm_drift_writes_no_output(self, cli, tmp_path, monkeypatch, command, fmt):
         # Every record is collected before the output is opened, so a drift
         # at iteration 3 leaves neither the two earlier rows nor an --out file.
-        real = grover.modified_diffusion
+        real = grover._diffuse
 
         def drift_from_third_call():
             calls = itertools.count(1)
 
-            def diffusion(state, *args):
-                out = real(state, *args)
-                return out if next(calls) < 3 else StateVector(out.n_qubits, out.amps * 1.001)
+            def diffusion(*args):
+                out, other = real(*args)
+                if next(calls) >= 3:
+                    out *= 1.001
+                return out, other
 
-            monkeypatch.setattr(grover, "modified_diffusion", diffusion)
+            monkeypatch.setattr(grover, "_diffuse", diffusion)
 
         args = [command, "--qubits", 4, "--iterations", 4, "--format", fmt]
         out = tmp_path / "x.out"

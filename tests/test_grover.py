@@ -45,6 +45,14 @@ MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
+def record_bytes(records):
+    """Each record's fields, floats as float.hex, which tells -0.0 from 0.0."""
+    return [
+        (r.iteration, r.theta_used.hex(), r.target_probability.hex(), r.mean_amplitude.hex())
+        for r in records
+    ]
+
+
 class TestFixedPhase:
     def test_two_qubits_is_zero(self):
         assert fixed_phase(2) == 0.0
@@ -223,6 +231,22 @@ class TestDiffusion:
             tracemalloc.stop()
         assert peak - start <= 2 * state.amps.nbytes + 64 * 1024
 
+    @pytest.mark.parametrize("schedule", [Schedule(), Schedule(ScheduleKind.HYBRID)], ids=Schedule.describe)
+    def test_run_peak_memory_is_two_registers(self, schedule):
+        # A whole run holds its register and one scratch buffer: the oracle
+        # flips in place and each diffusion reuses both buffers.
+        config = GroverConfig(16, MARK_ALL_ONES(16), schedule, 4)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            records = list(iterate_grover(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4
+        register = 8 << 16  # float64 amplitudes
+        assert peak - start <= 2 * register + 64 * 1024
+
 
 def layer_test_amps(family, n, rng):
     dim = 1 << n
@@ -384,10 +408,16 @@ class TestIterateGrover:
         assert [r.theta_used for r in records] == expected
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
-    @pytest.mark.parametrize("n", range(3, 7))
-    @pytest.mark.parametrize("marked", [None, frozenset({1, 5})], ids=["all-ones", "1,5"])
+    @pytest.mark.parametrize(
+        "n, marked",
+        [(n, m) for n in range(2, 7) for m in ("all-ones", "1,5", "pair") if (n, m) != (2, "1,5")],
+    )
     def test_records_equal_public_operator_resimulation(self, schedule, n, marked):
-        marked = MarkedSet(marked or {(1 << n) - 1})
+        # "pair" marks both amplitudes the diffusion's pair update writes,
+        # (2**t, 0), so the run's in-place oracle flips them.
+        target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
+        indices = {"all-ones": {(1 << n) - 1}, "1,5": {1, 5}, "pair": {0, 1 << target}}[marked]
+        marked = MarkedSet(frozenset(indices))
         config = GroverConfig(n, marked, schedule)
         state = uniform_superposition(n)
         expected = []
@@ -397,7 +427,7 @@ class TestIterateGrover:
             state = modified_diffusion(state, gate, schedule.rotation_target)
             p = target_probability(state, marked.indices)
             expected.append(IterationRecord(i, theta, p, float(np.mean(state.amps.real))))
-        assert list(iterate_grover(config)) == expected
+        assert record_bytes(iterate_grover(config)) == record_bytes(expected)
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     def test_stopping_early_yields_a_prefix(self, schedule):
@@ -477,52 +507,62 @@ class TestRegisterDtype:
     )
     def test_records_equal_complex_register_run_bytewise(self, n, kind, order, interpretation):
         config = GroverConfig(n, MARK_ALL_ONES(n), Schedule(kind, interpretation, hybrid_order=order))
-
-        def record_bytes(records):
-            return [
-                (r.iteration, r.theta_used.hex(), r.target_probability.hex(), r.mean_amplitude.hex())
-                for r in records
-            ]
-
         assert record_bytes(iterate_grover(config)) == record_bytes(gate_by_gate_records(config))
 
 
 class TestNormDrift:
     @staticmethod
-    def scaled_diffusion(factor):
-        def diffusion(state, *args):
-            return StateVector(state.n_qubits, state.amps * factor)
+    def scale_diffusion(monkeypatch, factor):
+        """Make iterate_grover's diffusion scale the register by factor;
+        returns the list its calls are appended to."""
+        calls = []
 
-        return diffusion
+        def diffusion(src, out, spare, matrix, target):
+            calls.append(target)
+            np.multiply(src, factor, out=out)
+            return out, spare
+
+        monkeypatch.setattr(grover, "_diffuse", diffusion)
+        return calls
 
     def test_drift_raises(self, monkeypatch):
-        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
+        calls = self.scale_diffusion(monkeypatch, 1.001)
         with pytest.raises(NormDriftError, match="norm drifted"):
             list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3)))
+        assert calls == [3]
 
     def test_drift_raises_from_the_generator(self, monkeypatch):
-        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(1.001))
+        calls = self.scale_diffusion(monkeypatch, 1.001)
         records = iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
         with pytest.raises(NormDriftError, match="at iteration 1"):
             next(records)
+        assert calls == [3]
 
     def test_drift_inside_tolerance_passes(self, monkeypatch):
         factor = math.sqrt(1.0 + 5e-11)
-        monkeypatch.setattr(grover, "modified_diffusion", self.scaled_diffusion(factor))
+        calls = self.scale_diffusion(monkeypatch, factor)
         records = list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=1)))
         assert len(records) == 1
+        assert calls == [3]
 
     def test_drift_raises_under_optimize_flag(self):
         script = textwrap.dedent(
             """
-            from groversim import GroverConfig, MarkedSet, NormDriftError, StateVector, grover, iterate_grover
+            import numpy as np
+            from groversim import GroverConfig, MarkedSet, NormDriftError, grover, iterate_grover
             if __debug__:
                 raise SystemExit(2)  # not running under -O
-            grover.modified_diffusion = lambda s, *a: StateVector(s.n_qubits, 2 * s.amps)
+            calls = []
+
+            def diffusion(src, out, spare, *args):
+                calls.append(args)
+                return np.multiply(src, 2, out=out), spare
+
+            grover._diffuse = diffusion
             try:
                 list(iterate_grover(GroverConfig(3, MarkedSet(frozenset({7})), max_iterations=1)))
             except NormDriftError:
-                raise SystemExit(0)
+                raise SystemExit(0 if len(calls) == 1 else 3)
             raise SystemExit(1)
             """
         )
