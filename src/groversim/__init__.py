@@ -6,11 +6,7 @@ from .statevector import (
     HADAMARD,
     MAX_QUBITS,
     NormDriftError,
-    OneQubitGate,
     SizeLimitError,
-    StateVector,
-    target_probability,
-    uniform_superposition,
 )
 from .grover import (
     GroverConfig,
@@ -21,14 +17,12 @@ from .grover import (
     Schedule,
     ScheduleKind,
     adaptive_phase,
-    apply_oracle,
     fixed_phase,
     gate_hr_y,
     gate_r_y,
     gate_ry_h,
     gate_zr_y,
     iterate_grover,
-    modified_diffusion,
     n_optimal_standard,
 )
 from .analysis import (
@@ -41,7 +35,6 @@ from .analysis import (
     success_probability_modified,
     success_probability_standard,
     sweep_compare,
-    theoretical_complexity,
 )
 
 __all__ = [
@@ -50,11 +43,7 @@ __all__ = [
     "HADAMARD",
     "MAX_QUBITS",
     "NormDriftError",
-    "OneQubitGate",
     "SizeLimitError",
-    "StateVector",
-    "target_probability",
-    "uniform_superposition",
     # grover
     "GroverConfig",
     "HybridOrder",
@@ -64,14 +53,12 @@ __all__ = [
     "Schedule",
     "ScheduleKind",
     "adaptive_phase",
-    "apply_oracle",
     "fixed_phase",
     "gate_hr_y",
     "gate_r_y",
     "gate_ry_h",
     "gate_zr_y",
     "iterate_grover",
-    "modified_diffusion",
     "n_optimal_standard",
     # analysis
     "ComparisonRow",
@@ -83,5 +70,4 @@ __all__ = [
     "success_probability_modified",
     "success_probability_standard",
     "sweep_compare",
-    "theoretical_complexity",
 ]

@@ -26,12 +26,7 @@ from .grover import (
     iterate_grover,
     standard_diffusion_mean,
 )
-from .statevector import (
-    SizeLimitError,
-    check_register_size,
-    phase_flip_indices,
-    uniform_superposition,
-)
+from .statevector import SizeLimitError, check_register_size, uniform_superposition
 
 # Grid step and bracket-refinement width for the rotation-angle search.
 SEARCH_GRID_STEP = 1e-3
@@ -47,25 +42,15 @@ MAX_RECURRENCE_QUBITS = 52
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass
-class RecurrenceState:
-    """Amplitudes entering iteration i of standard search with one marked state.
+def recurrence_table(n_qubits: int, iterations: int) -> list[float]:
+    """Marked amplitude a entering each of `iterations` iterations of
+    standard search with one marked state, by the two-amplitude recurrence.
 
-    `a` is the marked amplitude and `b` the shared unmarked amplitude. Row 1
-    is the uniform start, a = b = 1/sqrt(N).
-    """
-
-    iteration: int
-    a: float
-    b: float
-
-
-def recurrence_table(n_qubits: int, iterations: int) -> list[RecurrenceState]:
-    """Run the two-amplitude recurrence for the given number of iterations.
-
-    Per step: flip a -> -a, take the mean m = ((N-1)*b - a)/N over all
-    amplitudes, then reflect both about it: a <- 2m + a, b <- 2m - b.
-    Matches the full statevector simulation of standard search exactly.
+    b is the shared unmarked amplitude; the first entry is the uniform
+    start, a = b = 1/sqrt(N). Per step: flip a -> -a, take the mean
+    m = ((N-1)*b - a)/N over all amplitudes, then reflect both about it:
+    a <- 2m + a, b <- 2m - b. Matches the full statevector simulation of
+    standard search exactly.
     """
     if not 1 <= n_qubits <= MAX_RECURRENCE_QUBITS:
         raise SizeLimitError(
@@ -75,12 +60,12 @@ def recurrence_table(n_qubits: int, iterations: int) -> list[RecurrenceState]:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     big_n = 2.0**n_qubits
     a = b = 1.0 / math.sqrt(big_n)
-    rows = []
-    for i in range(1, iterations + 1):
+    amplitudes = []
+    for _ in range(iterations):
+        amplitudes.append(a)
         m = ((big_n - 1.0) * b - a) / big_n
-        rows.append(RecurrenceState(iteration=i, a=a, b=b))
         a, b = 2.0 * m + a, 2.0 * m - b
-    return rows
+    return amplitudes
 
 
 def simulated_amplitude_series(n_qubits: int, count: int) -> list[float]:
@@ -91,12 +76,12 @@ def simulated_amplitude_series(n_qubits: int, count: int) -> list[float]:
     The state is a float64 register throughout.
     """
     marked_index = (1 << n_qubits) - 1
-    state = uniform_superposition(n_qubits)
+    amps = uniform_superposition(n_qubits)
     out = []
     for _ in range(count):
-        out.append(float(state.amps[marked_index].real))
-        state = phase_flip_indices(state, {marked_index})
-        state = standard_diffusion_mean(state)
+        out.append(float(amps[marked_index]))
+        amps[marked_index] *= -1.0
+        amps = standard_diffusion_mean(amps)
     return out
 
 
@@ -146,16 +131,16 @@ def optimal_phase_search(n_qubits: int) -> float:
     Maximizes the marked-state probability after one oracle + modified
     diffusion (gate_zr_y) applied to the uniform state (single marked
     state), via a coarse grid scan over [-pi, pi) followed by golden-section
-    refinement. Every objective value is bit-identical to
-    target_probability(modified_diffusion(after_oracle, gate_zr_y(theta)),
-    marked).
+    refinement. Every objective value is byte-identical to the marked
+    probability after the run loop's first iteration (the oracle, then
+    _diffuse with gate_zr_y(theta) on qubit n - 1) at that angle.
 
-    modified_diffusion is H^n, then gate_zr_y(theta) on the amplitude pair
-    at indices 2**(n-1) and 0, then H^n; only that pair depends on the
-    angle. The opening H^n runs once per n. Each batch of angles copies
-    that opened state into one register per angle, rotates each register's
+    The diffusion is H^n, then gate_zr_y(theta) on the amplitude pair at
+    indices 2**(n-1) and 0, then H^n; only that pair depends on the angle.
+    The opening H^n runs once per n. Each batch of angles copies that
+    opened state into one register per angle, rotates each register's
     pair, and closes the whole batch with one call of _hadamard_layers, the
-    kernel modified_diffusion runs. A batch holds at most
+    kernel the run loop's _diffuse runs. A batch holds at most
     SEARCH_BATCH_AMPLITUDES amplitudes, which bounds peak memory.
     """
     if not 2 <= n_qubits <= MAX_SEARCH_QUBITS:
@@ -177,27 +162,29 @@ def optimal_phase_search(n_qubits: int) -> float:
 
 
 def _first_iteration_objective(n_qubits: int):
-    """f(thetas) -> marked probability after oracle + modified_diffusion with
-    gate_zr_y(theta), for a 1-D array of angles; see optimal_phase_search.
+    """f(thetas) -> marked probability after the oracle and the diffusion
+    with gate_zr_y(theta), for a 1-D array of angles; see
+    optimal_phase_search.
     """
     dim = 1 << n_qubits
-    after_oracle = phase_flip_indices(uniform_superposition(n_qubits), {dim - 1}).amps
+    after_oracle = uniform_superposition(n_qubits)
+    after_oracle[dim - 1] *= -1.0
     opened, _ = _hadamard_layers(after_oracle, np.empty_like(after_oracle), np.empty_like(after_oracle))
     a0, a1 = opened[dim >> 1], opened[0]  # the pair gate_zr_y rotates
 
     def probabilities(thetas: np.ndarray) -> np.ndarray:
         # Entries [[c, s], [s, -c]] of gate_zr_y(theta), combined as
-        # modified_diffusion combines them.
-        c = np.array([math.cos(t / 2.0) for t in thetas], dtype=opened.dtype)
-        s = np.array([math.sin(t / 2.0) for t in thetas], dtype=opened.dtype)
-        batch = np.empty((len(thetas), dim), dtype=opened.dtype)
+        # _diffuse combines them.
+        c = np.array([math.cos(t / 2.0) for t in thetas])
+        s = np.array([math.sin(t / 2.0) for t in thetas])
+        batch = np.empty((len(thetas), dim))
         batch[:] = opened
         batch[:, dim >> 1] = c * a0 + s * a1
         batch[:, 0] = s * a0 + -c * a1
         closed, _ = _hadamard_layers(batch, np.empty_like(batch), batch)
         # Flat index x*k + j holds amplitude x of register j, so the last k
         # entries are the marked amplitude dim - 1 of each register.
-        return np.abs(closed.reshape(-1)[-len(thetas) :]) ** 2  # target_probability's |a|**2
+        return np.abs(closed.reshape(-1)[-len(thetas) :]) ** 2  # the readout's |a|**2
 
     return probabilities
 
@@ -300,11 +287,3 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     average = fmean(r.improvement_pct for r in rows)
     tail = [r.improvement_pct for r in rows if r.n != 2]
     return SweepReport(rows, average, fmean(tail) if tail else None)
-
-
-def theoretical_complexity(n_qubits: int, marked_count: int, modified: bool = False) -> float:
-    """Oracle-call estimate (pi/4) * sqrt(N/M) - 1/2, over sqrt(2) if modified."""
-    if marked_count < 1:
-        raise ValueError(f"marked count must be >= 1, got {marked_count}")
-    base = math.pi / 4.0 * math.sqrt(2.0**n_qubits / marked_count) - 0.5
-    return base / math.sqrt(2.0) if modified else base

@@ -246,8 +246,8 @@ def _initial_probability(config: GroverConfig) -> float:
     """Target probability of the uniform state, before any iteration.
 
     Only the M marked amplitudes are built, each 1/sqrt(N) as in
-    uniform_superposition; target_probability's |a|**2 and sum over the
-    same M values give the same bytes without a full register.
+    uniform_superposition; the run loop's readout, |a|**2 summed over the
+    same M values, gives the same bytes without a full register.
     """
     amps = np.full(config.marked.count, 1.0 / math.sqrt(1 << config.n_qubits))
     return float((np.abs(amps) ** 2).sum())
@@ -369,14 +369,14 @@ def cmd_recurrence(qubits, iterations, fmt, out):
     )
     rows = (
         {
-            "iteration": row.iteration,
-            "amplitude_recurrence": row.a,
-            "amplitude_statevector": simulated[pos] if simulated is not None else None,
-            "ratio": table[pos + 1].a / row.a if pos + 1 < len(table) and row.a != 0.0 else None,
+            "iteration": i,
+            "amplitude_recurrence": a,
+            "amplitude_statevector": simulated[i - 1] if simulated is not None else None,
+            "ratio": table[i] / a if i < len(table) and a != 0.0 else None,
             # Int true division rounds the exact ratio correctly; no Fraction needed.
-            "model_ratio": (2 * row.iteration + 1) / (2 * row.iteration - 1),
+            "model_ratio": (2 * i + 1) / (2 * i - 1),
         }
-        for pos, row in enumerate(table)
+        for i, a in enumerate(table, start=1)
     )
     meta = _base_meta("recurrence")
     meta.update(qubits=qubits, iterations=iterations)

@@ -1,4 +1,4 @@
-"""Grover search constructions: oracle, diffusion operators, phase schedules.
+"""Grover search: phase schedules, their gates, and the run loop.
 
 The standard diffusion reflects every amplitude about the mean. The modified
 schedules replace the controlled phase flip inside the gate-level diffusion
@@ -14,6 +14,7 @@ gate_ry_h(t) applies H then R_y(t) (matrix R_y(t) @ H). gate_hr_y(t) is the
 opposite reading of the latter, matrix H @ R_y(t); the two are related by
 gate_ry_h(t) == gate_hr_y(-t) and both are selectable for the hybrid
 schedule, since gate-name notation alone does not pin the order down.
+Gates are 2x2 float64 arrays, row-major.
 """
 
 from __future__ import annotations
@@ -28,38 +29,34 @@ import numpy as np
 from .statevector import (
     HADAMARD,
     NormDriftError,
-    OneQubitGate,
-    StateVector,
     _basis_index,
     _probability,
-    _validated_indices,
     check_register_size,
-    phase_flip_indices,
     uniform_superposition,
 )
 
 
-def gate_r_y(theta: float) -> OneQubitGate:
+def gate_r_y(theta: float) -> np.ndarray:
     """Rotation about the y axis: [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]."""
     c, s = _half_angle(theta)
-    return OneQubitGate(np.array([[c, -s], [s, c]]))
+    return np.array([[c, -s], [s, c]])
 
 
-def gate_zr_y(theta: float) -> OneQubitGate:
+def gate_zr_y(theta: float) -> np.ndarray:
     """Z followed by R_y(theta): [[cos(t/2), sin(t/2)], [sin(t/2), -cos(t/2)]].
 
     gate_zr_y(0) is exactly Z, recovering the standard diffusion.
     """
     c, s = _half_angle(theta)
-    return OneQubitGate(np.array([[c, s], [s, -c]]))
+    return np.array([[c, s], [s, -c]])
 
 
-def gate_hr_y(theta: float) -> OneQubitGate:
+def gate_hr_y(theta: float) -> np.ndarray:
     """Matrix product H @ R_y(theta)."""
     return HADAMARD @ gate_r_y(theta)
 
 
-def gate_ry_h(theta: float) -> OneQubitGate:
+def gate_ry_h(theta: float) -> np.ndarray:
     """H followed by R_y(theta), i.e. matrix R_y(theta) @ H."""
     return gate_r_y(theta) @ HADAMARD
 
@@ -110,7 +107,7 @@ class Schedule:
             label += f"@q{self.rotation_target}"
         return label
 
-    def step(self, n_qubits: int, iteration: int) -> tuple[float, OneQubitGate]:
+    def step(self, n_qubits: int, iteration: int) -> tuple[float, np.ndarray]:
         """Rotation angle and diffusion gate for a 1-based iteration.
 
         The hybrid schedule applies gate_zr_y in iteration 1 and the gate
@@ -190,53 +187,28 @@ def adaptive_phase(
     return base + growth
 
 
-def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
-    """Phase oracle: flip the sign of every marked amplitude."""
-    return phase_flip_indices(state, marked.indices)
-
-
-def standard_diffusion_mean(state: StateVector) -> StateVector:
+def standard_diffusion_mean(amps: np.ndarray) -> np.ndarray:
     """Inversion about the mean: each amplitude a becomes 2m - a.
 
-    m is summed as numpy sums a complex128 register, so a float64 register
-    and its complex128 copy reflect to the same bytes.
+    m is the mean numpy takes over the register cast to complex128, whose
+    pairwise sum rounds as the float64 one does not; the recurrence's
+    statevector column rests on those bytes.
     """
-    amps = state.amps
-    m = np.mean(amps.astype(np.complex128, copy=False))
-    if not np.iscomplexobj(amps):
-        m = m.real
-    return StateVector(state.n_qubits, 2.0 * m - amps)
-
-
-def modified_diffusion(
-    state: StateVector, gate: OneQubitGate, rotation_target: int | None = None
-) -> StateVector:
-    """Diffusion H^n X^n C-U X^n H^n, with U = gate on the rotation target
-    t, controlled by every other qubit.
-
-    Schedule.step picks the gate; gate_zr_y(0) is exactly Z, giving the
-    standard diffusion (equal to standard_diffusion_mean up to an overall
-    sign). X^n C-U X^n is U acting on the amplitude pair (2**t, 0) alone,
-    so that pair is updated between the H layers. X's 0/1 matmul moves
-    amplitudes exactly, so the result is bit-identical to the gate-by-gate
-    circuit. The work runs in two register-sized buffers allocated here;
-    see _diffuse. They take np.result_type of the state and the gate, so a
-    real state stays float64 under a real gate and a complex gate gives a
-    complex128 state. The caller's state is only read.
-    """
-    n = state.n_qubits
-    target = n - 1 if rotation_target is None else rotation_target
-    if not 0 <= target < n:
-        raise ValueError(f"rotation target {target} out of range for {n} qubits")
-    dtype = np.result_type(state.amps, gate.matrix)
-    out, spare = np.empty(state.dim, dtype), np.empty(state.dim, dtype)
-    amps, _ = _diffuse(state.amps, out, spare, gate.matrix, target)
-    return StateVector(n, amps)
+    m = np.mean(amps.astype(np.complex128)).real
+    return 2.0 * m - amps
 
 
 def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray, target: int) -> tuple:
-    """H^n, then the 2x2 matrix m on the amplitude pair (2**target, 0),
-    then H^n: modified_diffusion's operator applied to src.
+    """The diffusion H^n X^n C-U X^n H^n applied to src, with U = m on
+    qubit target, controlled by every other qubit.
+
+    Schedule.step picks m; gate_zr_y(0) is exactly Z, giving the standard
+    diffusion (equal to standard_diffusion_mean up to an overall sign).
+    X^n C-U X^n is m acting on the amplitude pair (2**target, 0) alone, so
+    that pair is updated between the two H^n. X's 0/1 matmul moves
+    amplitudes exactly, so the result is byte-identical to the real part of
+    the gate-by-gate circuit of tests/oracle.py, which runs on a complex
+    copy of src (up to the one exception _hadamard_layers states).
 
     Returns (result, the other buffer). Both H^n ping-pong between two
     buffers and end in whichever one the parity of n gives; see
@@ -255,14 +227,12 @@ def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray,
 def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
     """H^n of src. Returns (result, the other buffer).
 
-    H is taken in out's dtype, so one code path serves float64 and
-    complex128 buffers. On complex128 the result is byte-identical to
-    tests/oracle.py's per-qubit kernel applying H to qubits 0..n-1; on
-    float64 it is byte-identical to the real part of the complex128 result
-    for the same real input, so a real register never needs complex
-    arithmetic. (The one exception is the sign of exact zeros at n = 2
-    with an odd number of registers, where the complex gemm's edge kernel
-    can return -0.0 for a zero sum; no probability depends on it.)
+    Each register of the result is byte-identical to the real part of
+    tests/oracle.py's per-qubit kernel applying H to qubits 0..n-1 of a
+    complex copy of it. (The one exception is the sign of exact zeros
+    at n = 2, one register at a time, where the complex (2,2)@(2,2) gemm's
+    edge kernel can return -0.0 for a zero sum that IEEE arithmetic, and
+    the real gemm, return as +0.0; no probability depends on it.)
 
     Layer q reads the current layout's lowest bit, which is always bit q,
     and writes it as the top bit: its source viewed as (N/2, 2) and
@@ -276,14 +246,14 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     writes out, using half of spare as its temporary or, if spare is src,
     src's own dead x0; the later layers alternate between the two buffers.
 
-    The three buffers are C-contiguous, all (N,) or all (k, N), and of one
-    dtype, except that a float64 src may feed complex128 out and spare. A
-    (k, N) src is k registers and n comes from its last axis. Each layer
-    is the same one gemm over the flat buffer, where register index j is one
-    more digit above bit n-1. The bits rotate past it, so the result holds
-    amplitude x of register j at flat index x*k + j.
+    The three buffers are float64, C-contiguous and all (N,) or all
+    (k, N). A (k, N) src is k registers and n comes from its last axis.
+    Each layer is the same one gemm over the flat buffer, where register
+    index j is one more digit above bit n-1. The bits rotate past it, so
+    the result holds amplitude x of register j at flat index x*k + j, with
+    the bytes of k one-register calls.
     """
-    h = HADAMARD.matrix.astype(out.dtype)
+    h = HADAMARD
     half = out.size >> 1
     x, y = src.reshape(-1), out.reshape(-1)
     x0, x1 = x[0::2], x[1::2]
@@ -349,7 +319,7 @@ class IterationRecord:
     iteration: int
     theta_used: float
     target_probability: float
-    mean_amplitude: float  # mean of the real parts, diagnostics only
+    mean_amplitude: float  # diagnostics only
 
 
 def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
@@ -360,27 +330,28 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     early skips the remaining iterations. Raises NormDriftError if the
     squared norm leaves 1 by 1e-10 or more.
 
-    The run owns two register-sized buffers for its whole length: the
-    oracle negates the marked amplitudes in place, with apply_oracle's
-    arithmetic, and _diffuse works in the register and the other buffer.
-    The records are byte-identical to re-simulating each iteration with
-    apply_oracle, modified_diffusion and target_probability. The marked
-    indices are resolved once per run.
+    The run owns two float64 register-sized buffers for its whole length:
+    the oracle negates the marked amplitudes in place, and _diffuse works
+    in the register and the other buffer. The records are byte-identical
+    to those of re-simulating each iteration with the oracle, diffusion
+    and readout of tests/oracle.py on a complex register. GroverConfig has
+    validated the marked indices; they are sorted once per run, so the
+    readout sums them in ascending order.
     """
     n = config.n_qubits
     schedule = config.schedule
     target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
-    state = uniform_superposition(n)
-    marked = _validated_indices(state, config.marked.indices)
-    amps, spare = state.amps, np.empty_like(state.amps)
+    marked = np.array(sorted(config.marked.indices), dtype=np.int64)
+    amps = uniform_superposition(n)
+    spare = np.empty_like(amps)
     for i in range(1, config.max_iterations + 1):
         # Only the adaptive gate changes after iteration 2 (Schedule.step),
         # so the others are built twice per run.
         if i <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
             theta, gate = schedule.step(n, i)
         amps[marked] *= -1.0
-        amps, spare = _diffuse(amps, spare, amps, gate.matrix, target)
-        total = float(np.vdot(amps, amps).real)
+        amps, spare = _diffuse(amps, spare, amps, gate, target)
+        total = float(np.vdot(amps, amps))
         if not abs(total - 1.0) < 1e-10:
             raise NormDriftError(
                 f"statevector norm drifted to {total!r} at iteration {i}"
@@ -389,5 +360,5 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
             iteration=i,
             theta_used=theta,
             target_probability=_probability(amps, marked),
-            mean_amplitude=float(np.mean(amps.real)),
+            mean_amplitude=float(np.mean(amps)),
         )

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from groversim import (
-    HybridOrder,
-    RatioInterpretation,
-    Schedule,
-    ScheduleKind,
-    StateVector,
-)
+from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, grover
 from groversim.cli import main as cli_main
+from oracle import StateVector
 
 # Every ScheduleKind, HybridOrder and RatioInterpretation, and a
 # non-default rotation target.
@@ -29,6 +24,21 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(n_qubits, amps)
+
+
+def random_real_amps(n_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """A random normalized float64 register, as the package runs."""
+    amps = rng.normal(size=1 << n_qubits)
+    return amps / np.linalg.norm(amps)
+
+
+def diffuse(amps: np.ndarray, gate: np.ndarray, target: int | None = None) -> np.ndarray:
+    """The run loop's diffusion kernel, grover._diffuse, applied out of
+    place to a float64 register; target defaults to the highest qubit."""
+    n = amps.size.bit_length() - 1
+    target = n - 1 if target is None else target
+    result, _ = grover._diffuse(amps, np.empty_like(amps), np.empty_like(amps), gate, target)
+    return result
 
 
 @pytest.fixture

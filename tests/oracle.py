@@ -1,37 +1,83 @@
 """Gate-by-gate reference the fast paths are tested against.
 
-One full-register gate pass at a time, plus explicit operator matrices
-built from the same passes; bit j of a basis index is qubit j.
+The package runs every schedule on a float64 register, in place, through
+groversim.grover.iterate_grover. This module is the operator-level spec
+that run is checked against: a complex128 register (StateVector),
+validated 2x2 gates (OneQubitGate), the oracle, the diffusion circuit and
+the readout, each applied one full-register gate pass at a time, plus
+explicit operator matrices built from the same passes. Bit j of a basis
+index is qubit j.
 
-Byte-level comparisons run it on complex128 registers. On a float64
-register numpy's real matrix-vector route, taken by the qubit-0 layer,
-rounds differently; the fast path's float64 results equal the real part
-of the complex128 ones instead.
+Fed a real state and real gates, every imaginary part here stays zero,
+and the package's float64 results are byte-identical to the real parts of
+the complex128 ones; _hadamard_layers documents the one signed-zero
+exception. (numpy's real matrix-vector route, taken by the qubit-0 layer,
+rounds differently, which is why the reference is complex128.)
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from groversim.grover import GroverConfig, IterationRecord
-from groversim.statevector import (
-    HADAMARD,
-    OneQubitGate,
-    SizeLimitError,
-    StateVector,
-    check_register_size,
-    phase_flip_indices,
-    target_probability,
-)
+from groversim import statevector
+from groversim.grover import GroverConfig, IterationRecord, MarkedSet
+from groversim.statevector import SizeLimitError, _basis_index, check_register_size
 
 # dense_operator_of materializes 2**n x 2**n matrices; test-oracle scale only.
 MAX_DENSE_QUBITS = 8
 
+UNITARITY_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class OneQubitGate:
+    """A 2x2 unitary, row-major, held as complex128."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.shape != (2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("gate entries must be finite")
+        err = np.abs(m.conj().T @ m - np.eye(2)).max()
+        if err > UNITARITY_TOL:
+            raise ValueError(f"matrix is not unitary (max |M†M - I| = {err:.3g})")
+        object.__setattr__(self, "matrix", m)
+
+
+HADAMARD = OneQubitGate(statevector.HADAMARD)
 PAULI_X = OneQubitGate(np.array([[0, 1], [1, 0]]))
 PAULI_Z = OneQubitGate(np.array([[1, 0], [0, -1]]))
+
+
+@dataclass(eq=False)
+class StateVector:
+    """2**n_qubits complex128 amplitudes; basis index bit j is qubit j."""
+
+    n_qubits: int
+    amps: np.ndarray
+
+    def __post_init__(self):
+        self.n_qubits = int(self.n_qubits)
+        check_register_size(self.n_qubits)
+        amps = np.asarray(self.amps, dtype=np.complex128)
+        if amps.shape != (1 << self.n_qubits,):
+            raise ValueError(
+                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
+            )
+        self.amps = amps
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_qubits
+
+    def norm_squared(self) -> float:
+        return float(np.vdot(self.amps, self.amps).real)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:
@@ -43,6 +89,37 @@ def basis_state(n_qubits: int, index: int) -> StateVector:
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps)
+
+
+def uniform_state(n_qubits: int) -> StateVector:
+    """The package's uniform start as a statevector."""
+    return StateVector(n_qubits, statevector.uniform_superposition(n_qubits))
+
+
+def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVector:
+    """Negate the amplitude at each listed basis index."""
+    out = state.amps.copy()
+    out[_validated_indices(state, indices)] *= -1.0
+    return StateVector(state.n_qubits, out)
+
+
+def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
+    """Phase oracle: flip the sign of every marked amplitude."""
+    return phase_flip_indices(state, marked.indices)
+
+
+def target_probability(state: StateVector, indices: Iterable[int]) -> float:
+    """Total probability mass on the listed basis indices."""
+    return float((np.abs(state.amps[_validated_indices(state, indices)]) ** 2).sum())
+
+
+def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray:
+    idx = np.unique(np.fromiter(map(_basis_index, indices), dtype=np.int64, count=-1))
+    if idx.size and (idx[0] < 0 or idx[-1] >= state.dim):
+        raise IndexError(
+            f"basis index out of range [0, {state.dim}) for {state.n_qubits} qubits"
+        )
+    return idx
 
 
 def apply_one_qubit_gate(state: StateVector, qubit: int, gate: OneQubitGate) -> StateVector:
@@ -131,25 +208,45 @@ def layer(gate: OneQubitGate, n_qubits: int) -> list:
     return [(gate, (), q) for q in range(n_qubits)]
 
 
-def gate_by_gate_diffusion(state: StateVector, gate: OneQubitGate, target: int) -> StateVector:
-    """H^n X^n C-U X^n H^n, one full-register gate pass at a time."""
+def modified_diffusion(
+    state: StateVector, gate: np.ndarray, rotation_target: int | None = None
+) -> StateVector:
+    """H^n X^n C-U X^n H^n, with U = gate (a 2x2 matrix, as Schedule.step
+    returns) on the rotation target t (default n - 1), controlled by every
+    other qubit; one full-register gate pass at a time."""
     n = state.n_qubits
+    target = n - 1 if rotation_target is None else rotation_target
     h, x = layer(HADAMARD, n), layer(PAULI_X, n)
-    return apply_sequence(state, [*h, *x, (gate, set(range(n)) - {target}, target), *x, *h])
+    controlled = (OneQubitGate(gate), set(range(n)) - {target}, target)
+    return apply_sequence(state, [*h, *x, controlled, *x, *h])
 
 
-def gate_by_gate_records(config: GroverConfig) -> list[IterationRecord]:
-    """iterate_grover's records from a complex128 register whose every
-    diffusion is gate_by_gate_diffusion."""
-    n, schedule, marked = config.n_qubits, config.schedule, config.marked.indices
-    target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
-    dim = 1 << n
-    state = StateVector(n, np.full(dim, 1.0 / math.sqrt(dim), dtype=np.complex128))
+def assert_real_part_bytes(result: np.ndarray, reference: StateVector) -> None:
+    """Assert that the float64 result is byte-identical to the real part of
+    the oracle's complex128 reference.
+
+    The one exception, documented at grover._hadamard_layers, is the sign
+    of exact zeros at n = 2, where the reference's complex (2,2)@(2,2) gemm
+    can return -0.0 for a zero sum that the real gemm returns as +0.0:
+    there every zero of the reference is taken as +0.0.
+    """
+    expected = np.ascontiguousarray(reference.amps.real)
+    if reference.n_qubits == 2:
+        expected[expected == 0.0] = 0.0
+    assert result.tobytes() == expected.tobytes()
+
+
+def oracle_records(config: GroverConfig) -> list[IterationRecord]:
+    """iterate_grover's records, re-simulated on a complex128 register:
+    apply_oracle, then Schedule.step's gate through modified_diffusion,
+    then target_probability."""
+    n, schedule, marked = config.n_qubits, config.schedule, config.marked
+    state = uniform_state(n)
     records = []
     for i in range(1, config.max_iterations + 1):
-        state = phase_flip_indices(state, marked)
+        state = apply_oracle(state, marked)
         theta, gate = schedule.step(n, i)
-        state = gate_by_gate_diffusion(state, gate, target)
-        probability = target_probability(state, marked)
+        state = modified_diffusion(state, gate, schedule.rotation_target)
+        probability = target_probability(state, marked.indices)
         records.append(IterationRecord(i, theta, probability, float(np.mean(state.amps.real))))
     return records

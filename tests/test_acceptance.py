@@ -12,7 +12,6 @@ import numpy as np
 from click.testing import CliRunner
 
 from groversim import (
-    HADAMARD,
     GroverConfig,
     HybridOrder,
     MarkedSet,
@@ -20,26 +19,34 @@ from groversim import (
     Schedule,
     ScheduleKind,
     SuccessModel,
-    apply_oracle,
     find_peak_iteration,
     fixed_phase,
     gate_hr_y,
     gate_r_y,
     gate_zr_y,
     iterate_grover,
-    modified_diffusion,
     n_optimal_standard,
     optimal_phase_search,
     recurrence_table,
     success_probability_standard,
     sweep_compare,
-    uniform_superposition,
 )
 from groversim.analysis import simulated_amplitude_series
 from groversim.cli import main as cli_main
 from groversim.grover import standard_diffusion_mean
-from conftest import random_state
-from oracle import PAULI_X, PAULI_Z, apply_sequence, dense_operator_of
+from conftest import random_real_amps, random_state
+from oracle import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
+    OneQubitGate,
+    StateVector,
+    apply_oracle,
+    apply_sequence,
+    dense_operator_of,
+    modified_diffusion,
+    uniform_state,
+)
 
 # Reference values the suite reproduces.
 REFERENCE_STANDARD_ITERATIONS = [1, 2, 3, 4, 6, 8, 12, 17, 25, 35, 50, 71]
@@ -116,14 +123,14 @@ def test_criterion_4_recurrence_table():
     worst_amp = 0.0
     for n in range(2, 11):
         count = n_optimal_standard(n, 1) + 1
-        recurred = [row.a for row in recurrence_table(n, count)]
+        recurred = recurrence_table(n, count)
         simulated = simulated_amplitude_series(n, count)
         worst_amp = max(worst_amp, max(abs(r - s) for r, s in zip(recurred, simulated)))
 
     rows = recurrence_table(20, 7)
     reference_ratios = [3.0, 5.0 / 3.0, 7.0 / 5.0, 9.0 / 7.0, 11.0 / 9.0, 13.0 / 11.0]
     worst_ratio = max(
-        abs(rows[i].a / rows[i - 1].a - reference_ratios[i - 1]) for i in range(1, 7)
+        abs(rows[i] / rows[i - 1] - reference_ratios[i - 1]) for i in range(1, 7)
     )
     ok = worst_amp < 1e-12 and worst_ratio < 1e-4
     _verdict(
@@ -203,9 +210,9 @@ def _random_circuit(rng, n_qubits, n_gates):
         lambda: HADAMARD,
         lambda: PAULI_X,
         lambda: PAULI_Z,
-        lambda: gate_r_y(rng.uniform(-math.pi, math.pi)),
-        lambda: gate_zr_y(rng.uniform(-math.pi, math.pi)),
-        lambda: gate_hr_y(rng.uniform(-math.pi, math.pi)),
+        lambda: OneQubitGate(gate_r_y(rng.uniform(-math.pi, math.pi))),
+        lambda: OneQubitGate(gate_zr_y(rng.uniform(-math.pi, math.pi))),
+        lambda: OneQubitGate(gate_hr_y(rng.uniform(-math.pi, math.pi))),
     ]
     ops = []
     for _ in range(n_gates):
@@ -224,15 +231,15 @@ def test_criterion_7_property_bundle():
     # unitarity over random circuits, n <= 10
     for _ in range(20):
         n = int(rng.integers(2, 11))
-        state = apply_sequence(uniform_superposition(n), _random_circuit(rng, n, 30))
+        state = apply_sequence(uniform_state(n), _random_circuit(rng, n, 30))
         if abs(state.norm_squared() - 1.0) >= 1e-10:
             failures.append(f"norm drift at n={n}")
 
     # gate-form vs mean-form diffusion, n <= 10
     for n in range(1, 11):
-        state = random_state(n, rng)
-        gate_form = modified_diffusion(state, gate_zr_y(0.0)).amps
-        mean_form = standard_diffusion_mean(state).amps
+        amps = random_real_amps(n, rng)
+        gate_form = modified_diffusion(StateVector(n, amps), gate_zr_y(0.0)).amps
+        mean_form = standard_diffusion_mean(amps)
         err = min(np.abs(gate_form - mean_form).max(), np.abs(gate_form + mean_form).max())
         if err >= 1e-10:
             failures.append(f"diffusion mismatch {err:.2e} at n={n}")
@@ -249,15 +256,15 @@ def test_criterion_7_property_bundle():
 
     # gate identities
     hx = HADAMARD.matrix @ PAULI_X.matrix
-    if np.abs(hx - gate_r_y(-math.pi / 2).matrix).max() >= 1e-15:
+    if np.abs(hx - gate_r_y(-math.pi / 2)).max() >= 1e-15:
         failures.append("HX != R_y(-pi/2)")
-    if not np.array_equal(gate_zr_y(0.0).matrix, PAULI_Z.matrix):
+    if not np.array_equal(gate_zr_y(0.0), PAULI_Z.matrix):
         failures.append("gate_zr_y(0) != Z")
 
     # zero-angle schedule reduces to the standard trace
     marked = MarkedSet(frozenset({31}))
     standard = list(iterate_grover(GroverConfig(5, marked, max_iterations=8)))
-    state = uniform_superposition(5)
+    state = uniform_state(5)
     for record in standard:
         state = apply_oracle(state, marked)
         state = modified_diffusion(state, gate_zr_y(0.0))

@@ -23,7 +23,6 @@ from groversim import (
     success_probability_modified,
     success_probability_standard,
     sweep_compare,
-    theoretical_complexity,
 )
 from groversim.analysis import (
     SEARCH_BATCH_AMPLITUDES,
@@ -34,13 +33,9 @@ from groversim.analysis import (
     simulated_amplitude_series,
 )
 from groversim import grover
-from groversim.grover import gate_zr_y, modified_diffusion
-from groversim.statevector import (
-    phase_flip_indices,
-    target_probability,
-    uniform_superposition,
-)
+from groversim.grover import gate_zr_y
 from conftest import SCHEDULES
+from oracle import modified_diffusion, phase_flip_indices, target_probability, uniform_state
 
 
 def synthetic_records(probs):
@@ -50,15 +45,14 @@ def synthetic_records(probs):
 class TestRecurrence:
     def test_first_row_is_uniform_amplitude(self):
         rows = recurrence_table(5, 3)
-        assert rows[0].a == pytest.approx(1.0 / math.sqrt(32.0), abs=1e-15)
-        assert rows[0].b == rows[0].a
+        assert rows[0] == pytest.approx(1.0 / math.sqrt(32.0), abs=1e-15)
 
     def test_second_row_closed_form(self):
         for n in range(2, 11):
             big_n = 2.0**n
             rows = recurrence_table(n, 2)
             expected = 3.0 / math.sqrt(big_n) - 4.0 / (big_n * math.sqrt(big_n))
-            assert rows[1].a == pytest.approx(expected, abs=1e-12)
+            assert rows[1] == pytest.approx(expected, abs=1e-12)
 
     def test_third_row_closed_form(self):
         for n in range(4, 11):
@@ -69,24 +63,16 @@ class TestRecurrence:
                 - 20.0 / (big_n * math.sqrt(big_n))
                 + 16.0 / (big_n**2 * math.sqrt(big_n))
             )
-            assert rows[2].a == pytest.approx(expected, abs=1e-12)
+            assert rows[2] == pytest.approx(expected, abs=1e-12)
 
     def test_two_qubits_reach_certainty_in_one_step(self):
         rows = recurrence_table(2, 2)
-        assert rows[1].a == pytest.approx(1.0, abs=1e-12)
-
-    def test_normalization_invariant(self):
-        for n in range(2, 11):
-            big_n = 2.0**n
-            limit = 2 * n_optimal_standard(n, 1) + 2
-            for row in recurrence_table(n, limit):
-                total = row.a**2 + (big_n - 1.0) * row.b**2
-                assert total == pytest.approx(1.0, abs=1e-12)
+        assert rows[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_statevector_simulation(self):
         for n in range(2, 11):
             count = n_optimal_standard(n, 1) + 2
-            recurred = [row.a for row in recurrence_table(n, count)]
+            recurred = recurrence_table(n, count)
             simulated = simulated_amplitude_series(n, count)
             for r, s in zip(recurred, simulated):
                 assert abs(r - s) < 1e-12
@@ -94,7 +80,7 @@ class TestRecurrence:
     def test_ratio_asymptotics_large_n(self):
         rows = recurrence_table(20, 8)
         for i in range(1, 7):
-            measured = rows[i].a / rows[i - 1].a
+            measured = rows[i] / rows[i - 1]
             model = float(Fraction(2 * i + 1, 2 * i - 1))
             assert abs(measured - model) < 1e-4
 
@@ -173,7 +159,7 @@ class TestFirstIterationObjective:
     @staticmethod
     def full_simulation(n):
         marked = {(1 << n) - 1}
-        after_oracle = phase_flip_indices(uniform_superposition(n), marked)
+        after_oracle = phase_flip_indices(uniform_state(n), marked)
         return lambda theta: target_probability(
             modified_diffusion(after_oracle, gate_zr_y(theta)), marked
         )
@@ -358,23 +344,3 @@ class TestSweepCompare:
         row = sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows[0]
         assert (row.std_iters, row.mod_iters) == (71, 50)
         assert calls == 72 + 51
-
-
-class TestTheoreticalComplexity:
-    def test_standard_n13(self):
-        expected = math.pi / 4.0 * math.sqrt(8192.0) - 0.5
-        assert theoretical_complexity(13, 1) == pytest.approx(expected, abs=1e-12)
-        assert theoretical_complexity(13, 1) == pytest.approx(70.6, abs=0.1)
-
-    def test_modified_ratio(self):
-        for n in range(2, 14):
-            ratio = theoretical_complexity(n, 1, modified=True) / theoretical_complexity(n, 1)
-            assert ratio == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-
-    def test_quarter_marked(self):
-        expected = math.pi / 4.0 * 2.0 - 0.5
-        assert theoretical_complexity(4, 4) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_bad_marked_count(self):
-        with pytest.raises(ValueError):
-            theoretical_complexity(4, 0)

@@ -4,25 +4,26 @@ import re
 from pathlib import Path
 
 import groversim
-from groversim import grover, statevector
+from groversim import analysis, grover, statevector
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Package order: the statevector names, then grover's, then analysis's.
 PUBLIC_API = ["__version__", *"""
-    HADAMARD MAX_QUBITS NormDriftError OneQubitGate SizeLimitError StateVector
-    target_probability uniform_superposition
+    HADAMARD MAX_QUBITS NormDriftError SizeLimitError
     GroverConfig HybridOrder IterationRecord MarkedSet RatioInterpretation
-    Schedule ScheduleKind adaptive_phase apply_oracle fixed_phase gate_hr_y gate_r_y
-    gate_ry_h gate_zr_y iterate_grover modified_diffusion n_optimal_standard
+    Schedule ScheduleKind adaptive_phase fixed_phase gate_hr_y gate_r_y
+    gate_ry_h gate_zr_y iterate_grover n_optimal_standard
     ComparisonRow SuccessModel SweepReport find_peak_iteration optimal_phase_search
     recurrence_table success_probability_modified success_probability_standard
-    sweep_compare theoretical_complexity
+    sweep_compare
 """.split()]
-# The gate-by-gate test oracle lives in tests/oracle.py, not in the package.
+# The gate-by-gate test oracle and the operator-level API live in
+# tests/oracle.py, not in the package.
 ORACLE_NAMES = """
     apply_one_qubit_gate apply_controlled_one_qubit_gate dense_operator_of basis_state
-    PAULI_X PAULI_Z MAX_DENSE_QUBITS
+    PAULI_X PAULI_Z MAX_DENSE_QUBITS OneQubitGate StateVector phase_flip_indices
+    apply_oracle modified_diffusion target_probability
 """.split()
 
 
@@ -39,7 +40,7 @@ def test_iterate_grover_is_the_only_run_interface():
 
 
 def test_test_oracle_is_not_shipped():
-    for module in (groversim, grover, statevector):
+    for module in (groversim, grover, statevector, analysis):
         assert [name for name in ORACLE_NAMES if hasattr(module, name)] == []
 
 

@@ -6,26 +6,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groversim import (
-    HADAMARD,
-    StateVector,
-    gate_hr_y,
-    gate_r_y,
-    gate_ry_h,
-    gate_zr_y,
-    modified_diffusion,
-    uniform_superposition,
-)
+from groversim import gate_hr_y, gate_r_y, gate_ry_h, gate_zr_y, statevector
 from groversim.grover import _hadamard_layers, standard_diffusion_mean
-from groversim.statevector import phase_flip_indices
-from conftest import random_state
+from conftest import diffuse, random_real_amps, random_state
 from oracle import (
+    HADAMARD,
     PAULI_X,
     PAULI_Z,
+    OneQubitGate,
+    StateVector,
     apply_one_qubit_gate,
     apply_sequence,
+    assert_real_part_bytes,
     dense_operator_of,
-    gate_by_gate_diffusion,
+    layer,
+    modified_diffusion,
+    phase_flip_indices,
+    uniform_state,
 )
 
 angles = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
@@ -44,7 +41,7 @@ def circuits(draw, max_qubits=10, max_gates=20):
         if name in _FIXED_GATES:
             gate = _FIXED_GATES[name]
         else:
-            gate = _PARAM_GATES[name](draw(angles))
+            gate = OneQubitGate(_PARAM_GATES[name](draw(angles)))
         wires = draw(st.permutations(range(n)))
         span = draw(st.integers(min_value=1, max_value=min(4, n)))
         ops.append((gate, frozenset(wires[1:span]), wires[0]))
@@ -55,7 +52,7 @@ def circuits(draw, max_qubits=10, max_gates=20):
 @settings(max_examples=60, deadline=None)
 def test_random_circuits_preserve_norm(circuit):
     n, ops = circuit
-    state = apply_sequence(uniform_superposition(n), ops)
+    state = apply_sequence(uniform_state(n), ops)
     assert abs(state.norm_squared() - 1.0) < 1e-10
 
 
@@ -101,9 +98,9 @@ def test_phase_flip_equals_diagonal_sign_operator(n, indices, seed):
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_diffusion_gate_form_matches_mean_form(n, seed):
-    state = random_state(n, np.random.default_rng(seed))
-    gate = modified_diffusion(state, gate_zr_y(0.0)).amps
-    mean = standard_diffusion_mean(state).amps
+    amps = random_real_amps(n, np.random.default_rng(seed))
+    gate = diffuse(amps, gate_zr_y(0.0))
+    mean = standard_diffusion_mean(amps)
     assert min(np.abs(gate - mean).max(), np.abs(gate + mean).max()) < 1e-10
 
 
@@ -116,10 +113,10 @@ def test_diffusion_gate_form_matches_mean_form(n, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_diffusion_equals_gate_by_gate_circuit_bytewise(n, inner_gate, theta, target, seed):
-    state = random_state(n, np.random.default_rng(seed))
+    amps = random_real_amps(n, np.random.default_rng(seed))
     gate, target = inner_gate(theta), target % n
-    expected = gate_by_gate_diffusion(state, gate, target)
-    assert modified_diffusion(state, gate, target).amps.tobytes() == expected.amps.tobytes()
+    expected = modified_diffusion(StateVector(n, amps), gate, target)
+    assert diffuse(amps, gate, target).tobytes() == expected.amps.real.tobytes()
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
@@ -133,13 +130,13 @@ def test_overall_sign_never_changes_probabilities(n, seed):
 @given(angles)
 @settings(max_examples=100, deadline=None)
 def test_zry_factorization(theta):
-    product = gate_r_y(theta).matrix @ PAULI_Z.matrix
-    assert np.abs(gate_zr_y(theta).matrix - product).max() < 1e-15
+    product = gate_r_y(theta) @ PAULI_Z.matrix
+    assert np.abs(gate_zr_y(theta) - product).max() < 1e-15
 
 
 def test_hx_is_quarter_turn():
     hx = HADAMARD.matrix @ PAULI_X.matrix
-    assert np.abs(hx - gate_r_y(-math.pi / 2).matrix).max() < 1e-15
+    assert np.abs(hx - gate_r_y(-math.pi / 2)).max() < 1e-15
 
 
 @given(
@@ -152,30 +149,26 @@ def test_hx_is_quarter_turn():
 def test_float64_kernel_is_real_part_of_complex128_kernel_bytewise(n, k, signed_zeros, seed):
     # None is one (N,) register, an integer k a (k, N) batch. The signed-zero
     # family draws most entries from +-0.0 and the rest as random reals.
+    # A batch has the bytes of its registers run one at a time, and each
+    # register's are the real part of the oracle's complex128 per-qubit
+    # kernel, up to assert_real_part_bytes' one exception at n = 2.
     rng = np.random.default_rng(seed)
     shape = (1 << n,) if k is None else (k, 1 << n)
     x = rng.normal(size=shape)
     if signed_zeros:
         x = np.where(rng.random(shape) < 0.7, rng.choice([0.0, -0.0], size=shape), x)
-    real, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
-    z = x.astype(np.complex128)
-    cplx, _ = _hadamard_layers(z, np.empty_like(z), np.empty_like(z))
-    assert real.dtype == np.float64
-    expected = np.ascontiguousarray(cplx.real)
-    if n == 2 and (k or 1) % 2:
-        # A (2, 2k) gemm with k odd: the complex gemm's edge kernel can
-        # return -0.0 for a zero sum that IEEE arithmetic, and the real
-        # gemm, return as +0.0. Only the sign of zeros may differ.
-        assert np.array_equal(real, expected)
-        nonzero = expected != 0.0
-        assert real[nonzero].tobytes() == expected[nonzero].tobytes()
-    else:
-        assert real.tobytes() == expected.tobytes()
+    result, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
+    singles = []
+    for row in x.reshape(-1, 1 << n):
+        single, _ = _hadamard_layers(row, np.empty_like(row), np.empty_like(row))
+        assert_real_part_bytes(single, apply_sequence(StateVector(n, row), layer(HADAMARD, n)))
+        singles.append(single)
+    assert result.reshape(-1).tobytes() == np.stack(singles, axis=1).tobytes()
 
 
 @given(angles)
 @settings(max_examples=100, deadline=None)
 def test_real_gates_are_real_part_of_complex_products(theta):
-    ry, h = gate_r_y(theta).matrix.astype(complex), HADAMARD.matrix.astype(complex)
-    assert gate_ry_h(theta).matrix.tobytes() == np.ascontiguousarray((ry @ h).real).tobytes()
-    assert gate_hr_y(theta).matrix.tobytes() == np.ascontiguousarray((h @ ry).real).tobytes()
+    ry, h = gate_r_y(theta).astype(complex), statevector.HADAMARD.astype(complex)
+    assert gate_ry_h(theta).tobytes() == (ry @ h).real.tobytes()
+    assert gate_hr_y(theta).tobytes() == (h @ ry).real.tobytes()
