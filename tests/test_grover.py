@@ -217,6 +217,23 @@ class TestDiffusion:
             out = diffuse(amps, gate_zr_y(float(theta)))
             assert abs(np.vdot(out, out) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out-of-place", "in-place"])
+    def test_kernel_allocates_no_register(self, in_place):
+        # Given its buffers, the diffusion allocates nothing register-sized;
+        # a temporary would show in large-register peak RSS.
+        amps = random_real_amps(16, np.random.default_rng(36))
+        out = np.empty_like(amps)
+        spare = amps if in_place else np.empty_like(amps)
+        gate = gate_zr_y(0.3)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            grover._diffuse(amps, out, spare, gate, 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 64 * 1024
+
     @pytest.mark.parametrize("schedule", [Schedule(), Schedule(ScheduleKind.HYBRID)], ids=Schedule.describe)
     def test_run_peak_memory_is_two_registers(self, schedule):
         # A whole run holds its register and one scratch buffer: the oracle
@@ -242,6 +259,10 @@ def layer_test_amps(family, n, rng):
         amps = np.full(dim, 1.0 / math.sqrt(dim))
         amps[rng.integers(dim)] *= -1
         return amps
+    if family == "wide-range":
+        # Magnitudes from 2**63 down past the subnormals, some of which
+        # underflow to zero: every rounding mode of the sums shows.
+        return rng.normal(size=dim) * np.exp2(rng.integers(-1100, 64, size=dim).astype(float))
     # Basis state; the amplitudes elsewhere are +0.0 or -0.0.
     amps = rng.choice([0.0, -0.0], size=dim)
     amps[rng.integers(dim)] = 1.0
@@ -260,8 +281,11 @@ class TestHadamardLayers:
     @pytest.mark.parametrize(
         "family, n",
         [
-            *itertools.product(["real", "flipped-uniform", "signed-zero-basis"], range(1, 17)),
+            *itertools.product(
+                ["real", "wide-range", "flipped-uniform", "signed-zero-basis"], range(1, 17)
+            ),
             ("real", 20),
+            ("wide-range", 20),
         ],
     )
     def test_equals_per_qubit_kernel_bytewise(self, family, n):
@@ -278,7 +302,8 @@ class TestHadamardLayers:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
-        "family, k, n", itertools.product(["real", "signed-zero-basis"], [3, 5], range(1, 11))
+        "family, k, n",
+        itertools.product(["real", "wide-range", "signed-zero-basis"], [3, 5], range(1, 11)),
     )
     def test_registers_in_rows_bytewise(self, family, k, n):
         # A (k, N) buffer is k registers; amplitude x of register j comes
@@ -402,7 +427,7 @@ class TestIterateGrover:
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     @pytest.mark.parametrize(
         "n, marked",
-        [(n, m) for n in range(2, 7) for m in ("all-ones", "1,5", "pair") if (n, m) != (2, "1,5")],
+        [(n, m) for n in range(2, 8) for m in ("all-ones", "1,5", "pair") if (n, m) != (2, "1,5")],
     )
     def test_records_equal_oracle_resimulation(self, schedule, n, marked):
         # "pair" marks both amplitudes the diffusion's pair update writes,
@@ -461,6 +486,17 @@ class TestRegisterDtype:
         cplx = amps.astype(complex)
         assert real.dtype == np.float64
         assert real.tobytes() == (2.0 * np.mean(cplx) - cplx).real.tobytes()
+
+    @pytest.mark.parametrize("constructor", [gate_zr_y, gate_ry_h, gate_hr_y])
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_real_gates_keep_float64(self, constructor, target):
+        gate = constructor(fixed_phase(5))
+        assert gate.dtype == np.float64
+        out = diffuse(after_oracle(5), gate, target)
+        assert out.dtype == np.float64
+        after = apply_oracle(uniform_state(5), MARK_ALL_ONES(5))
+        reference = modified_diffusion(after, gate, target)
+        assert out.tobytes() == np.ascontiguousarray(reference.amps.real).tobytes()
 
     @pytest.mark.parametrize(
         "n, kind, order, interpretation",
