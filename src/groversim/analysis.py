@@ -4,8 +4,8 @@ The recurrence and the success models are independent routes to numbers
 the simulator also produces: a two-amplitude recurrence for standard
 search with one marked state and closed-form sin^2 success models. The
 derivative-free search for the best first-iteration rotation angle runs
-the simulator's own diffusion kernel over batches of angles, and the
-sweep compares standard and modified iteration counts.
+the simulator's own diffusion kernel on the angles a closed form leaves,
+and the sweep compares standard and modified iteration counts.
 """
 
 from __future__ import annotations
@@ -22,19 +22,19 @@ from .grover import (
     IterationRecord,
     MarkedSet,
     Schedule,
-    _hadamard_layers,
+    _diffuse,
+    gate_zr_y,
     iterate_grover,
     standard_diffusion_mean,
 )
-from .statevector import SizeLimitError, check_register_size, uniform_superposition
+from .statevector import SizeLimitError, _integer, _probability, check_register_size, uniform_superposition
 
 # Grid step and bracket-refinement width for the rotation-angle search.
 SEARCH_GRID_STEP = 1e-3
 SEARCH_REFINE_TOL = 1e-9
 MAX_SEARCH_QUBITS = 12
-# Amplitudes the search evaluates at once (angles per batch times 2**n);
-# larger batches raise the search's peak memory.
-SEARCH_BATCH_AMPLITUDES = 8192
+# Bound on |f - g| for the search's closed-form screen; see optimal_phase_search.
+_SCREEN_BOUND = 1e-12
 
 # The recurrence is pure float arithmetic in N = 2**n; keep N exact.
 MAX_RECURRENCE_QUBITS = 52
@@ -52,6 +52,7 @@ def recurrence_table(n_qubits: int, iterations: int) -> list[float]:
     a <- 2m + a, b <- 2m - b. Matches the full statevector simulation of
     standard search exactly.
     """
+    n_qubits = _integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= MAX_RECURRENCE_QUBITS:
         raise SizeLimitError(
             f"recurrence supports 1..{MAX_RECURRENCE_QUBITS} qubits, got {n_qubits}"
@@ -128,65 +129,66 @@ def success_probability_modified(iterations: int, model: SuccessModel) -> float:
 def optimal_phase_search(n_qubits: int) -> float:
     """Best diffusion rotation angle for the first iteration, found numerically.
 
-    Maximizes the marked-state probability after one oracle + modified
-    diffusion (gate_zr_y) applied to the uniform state (single marked
-    state), via a coarse grid scan over [-pi, pi) followed by golden-section
-    refinement. Every objective value is byte-identical to the marked
-    probability after the run loop's first iteration (the oracle, then
-    _diffuse with gate_zr_y(theta) on qubit n - 1) at that angle.
+    Maximizes f(theta), the marked probability after the run loop's first
+    iteration at that angle (_first_iteration_probability), by a grid scan
+    over [-pi, pi) and golden-section refinement between the neighbours of
+    the first grid maximum k. Only k needs the grid, so the closed form g
+    (_first_iteration_closed_form) screens it: if |f - g| <= eps on the
+    grid, k is among the candidates {j : g_j >= max g - 2 eps}, and f is
+    evaluated only there, first maximum in grid order, as argmax takes it.
+    Every value the search compares is f's.
 
-    The diffusion is H^n, then gate_zr_y(theta) on the amplitude pair at
-    indices 2**(n-1) and 0, then H^n; only that pair depends on the angle.
-    The opening H^n runs once per n. Each batch of angles copies that
-    opened state into one register per angle, rotates each register's
-    pair, and closes the whole batch with one call of _hadamard_layers, the
-    kernel the run loop's _diffuse runs. A batch holds at most
-    SEARCH_BATCH_AMPLITUDES amplitudes, which bounds peak memory.
+    eps = _SCREEN_BOUND = 1e-12 has a wide margin. In exact arithmetic g is
+    f at the same float angle. With u = 2**-53, each H layer entry, fused
+    (fma(h1, x1, h0*x0)) or not, with h rounded too, is off by at most
+    3u(|h0 x0| + |h1 x1|), which adds at most 3*sqrt(2)u < 4.3u to the
+    error of the unit register. The pair rotation and the rounded start
+    1/sqrt(N) are one such step each, so the marked amplitude is off by at
+    most (2n + 2) * 4.3u and f by twice that: 2.5e-14 at n = 12, 4.0e-14 at
+    n = 20. g's terms are at most 2 in size, its sine and cosine within a
+    few ulps, and 2|f1|/N <= 1, so g is off by about 20u = 2.2e-15.
     """
+    n_qubits = _integer(n_qubits, "n_qubits")
     if not 2 <= n_qubits <= MAX_SEARCH_QUBITS:
         raise ValueError(
             f"phase search supports 2..{MAX_SEARCH_QUBITS} qubits, got {n_qubits}"
         )
-    probabilities = _first_iteration_objective(n_qubits)
     grid = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
-    batch = max(1, SEARCH_BATCH_AMPLITUDES >> n_qubits)
-    values = np.concatenate(
-        [probabilities(grid[i : i + batch]) for i in range(0, len(grid), batch)]
-    )
-    k = int(values.argmax())
+    screen = _first_iteration_closed_form(n_qubits, grid)
+    f = _first_iteration_probability(n_qubits)
+    candidates = np.flatnonzero(screen >= screen.max() - 2.0 * _SCREEN_BOUND)
+    k = max(candidates.tolist(), key=lambda j: f(float(grid[j])))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
-    return _golden_section_max(
-        lambda t: float(probabilities(np.array([t]))[0]), lo, hi, SEARCH_REFINE_TOL
+    return _golden_section_max(f, lo, hi, SEARCH_REFINE_TOL)
+
+
+def _first_iteration_probability(n_qubits: int):
+    """f(theta) -> marked probability after the oracle and _diffuse with
+    gate_zr_y(theta) on qubit n - 1, from the uniform state with index
+    2**n - 1 marked, read out as the run loop reads it.
+    """
+    after_oracle = uniform_superposition(n_qubits)
+    after_oracle[-1] *= -1.0
+    marked = np.array([after_oracle.size - 1])
+    first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
+    return lambda theta: _probability(
+        _diffuse(after_oracle, first, second, gate_zr_y(theta), n_qubits - 1)[0], marked
     )
 
 
-def _first_iteration_objective(n_qubits: int):
-    """f(thetas) -> marked probability after the oracle and the diffusion
-    with gate_zr_y(theta), for a 1-D array of angles; see
-    optimal_phase_search.
+def _first_iteration_closed_form(n_qubits: int, thetas: np.ndarray) -> np.ndarray:
+    """f of _first_iteration_probability in closed form, g = f1**2 / N.
+
+    In units of 1/sqrt(N), the opening H^n leaves a1 = 1 - 2/N at index 0
+    and a0 = 2/N at index 2**(n-1); rotating that pair and closing with H^n
+    leaves f1 = a0 - a1 - 1 + s(a0 - a1) - c(a0 + a1) at the marked index,
+    with c, s = cos, sin(theta/2).
     """
-    dim = 1 << n_qubits
-    after_oracle = uniform_superposition(n_qubits)
-    after_oracle[dim - 1] *= -1.0
-    opened, _ = _hadamard_layers(after_oracle, np.empty_like(after_oracle), np.empty_like(after_oracle))
-    a0, a1 = opened[dim >> 1], opened[0]  # the pair gate_zr_y rotates
-
-    def probabilities(thetas: np.ndarray) -> np.ndarray:
-        # Entries [[c, s], [s, -c]] of gate_zr_y(theta), combined as
-        # _diffuse combines them.
-        c = np.array([math.cos(t / 2.0) for t in thetas])
-        s = np.array([math.sin(t / 2.0) for t in thetas])
-        batch = np.empty((len(thetas), dim))
-        batch[:] = opened
-        batch[:, dim >> 1] = c * a0 + s * a1
-        batch[:, 0] = s * a0 + -c * a1
-        closed, _ = _hadamard_layers(batch, np.empty_like(batch), batch)
-        # Flat index x*k + j holds amplitude x of register j, so the last k
-        # entries are the marked amplitude dim - 1 of each register.
-        return np.abs(closed.reshape(-1)[-len(thetas) :]) ** 2  # the readout's |a|**2
-
-    return probabilities
+    big_n = float(1 << n_qubits)
+    a1, a0 = 1.0 - 2.0 / big_n, 2.0 / big_n
+    f1 = a0 - a1 - 1.0 + np.sin(thetas / 2.0) * (a0 - a1) - np.cos(thetas / 2.0) * (a0 + a1)
+    return f1 * f1 / big_n
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> float:

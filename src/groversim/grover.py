@@ -29,7 +29,7 @@ import numpy as np
 from .statevector import (
     HADAMARD,
     NormDriftError,
-    _basis_index,
+    _integer,
     _probability,
     check_register_size,
     uniform_superposition,
@@ -134,7 +134,7 @@ class MarkedSet:
     indices: frozenset
 
     def __post_init__(self):
-        idx = frozenset(map(_basis_index, self.indices))
+        idx = frozenset(_integer(i, "basis index") for i in self.indices)
         if not idx:
             raise ValueError("marked set must be nonempty")
         if min(idx) < 0:
@@ -227,12 +227,12 @@ def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray,
 def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
     """H^n of src. Returns (result, the other buffer).
 
-    Each register of the result is byte-identical to the real part of
-    tests/oracle.py's per-qubit kernel applying H to qubits 0..n-1 of a
-    complex copy of it. (The one exception is the sign of exact zeros
-    at n = 2, one register at a time, where the complex (2,2)@(2,2) gemm's
-    edge kernel can return -0.0 for a zero sum that IEEE arithmetic, and
-    the real gemm, return as +0.0; no probability depends on it.)
+    The result is byte-identical to the real part of tests/oracle.py's
+    per-qubit kernel applying H to qubits 0..n-1 of a complex copy of src.
+    (The one exception is the sign of exact zeros at n = 2, where the
+    complex (2,2)@(2,2) gemm's edge kernel can return -0.0 for a zero sum
+    that IEEE arithmetic, and the real gemm, return as +0.0; no
+    probability depends on it.)
 
     Layer q reads the current layout's lowest bit, which is always bit q,
     and writes it as the top bit: its source viewed as (N/2, 2) and
@@ -245,20 +245,13 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     h[i,0]*x0 + h[i,1]*x1 + 0.0 does, signed zeros included. Layer 0
     writes out, using half of spare as its temporary or, if spare is src,
     src's own dead x0; the later layers alternate between the two buffers.
-
-    The three buffers are float64, C-contiguous and all (N,) or all
-    (k, N). A (k, N) src is k registers and n comes from its last axis.
-    Each layer is the same one gemm over the flat buffer, where register
-    index j is one more digit above bit n-1. The bits rotate past it, so
-    the result holds amplitude x of register j at flat index x*k + j, with
-    the bytes of k one-register calls.
+    The three buffers are float64, C-contiguous and (N,).
     """
     h = HADAMARD
     half = out.size >> 1
-    x, y = src.reshape(-1), out.reshape(-1)
-    x0, x1 = x[0::2], x[1::2]
-    y0, y1 = y[:half], y[half:]
-    tmp = x0 if spare is src else spare.reshape(-1)[:half]
+    x0, x1 = src[0::2], src[1::2]
+    y0, y1 = out[:half], out[half:]
+    tmp = x0 if spare is src else spare[:half]
     np.multiply(h[0, 0], x0, out=y0)
     np.multiply(h[0, 1], x1, out=y1)
     y0 += y1
@@ -266,7 +259,7 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     np.multiply(h[1, 0], x0, out=tmp)
     y1 += tmp
     out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
-    for _ in range(1, src.shape[-1].bit_length() - 1):
+    for _ in range(1, src.size.bit_length() - 1):
         np.matmul(h, out.reshape(half, 2).T, out=spare.reshape(2, half))
         out, spare = spare, out
     return out, spare

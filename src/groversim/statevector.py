@@ -31,7 +31,9 @@ class NormDriftError(ValueError):
 
 
 def check_register_size(n_qubits: int) -> None:
-    """Raise SizeLimitError unless 1 <= n_qubits <= MAX_QUBITS."""
+    """Raise ValueError unless n_qubits is an integer, and SizeLimitError
+    unless 1 <= n_qubits <= MAX_QUBITS."""
+    n_qubits = _integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
@@ -53,9 +55,9 @@ def _probability(amps: np.ndarray, idx: np.ndarray) -> float:
     return float((np.abs(amps[idx]) ** 2).sum())
 
 
-def _basis_index(value) -> int:
+def _integer(value, name: str) -> int:
     """value as an int; a float or other non-integer is a ValueError, not truncated."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"basis index must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -24,7 +24,7 @@ import numpy as np
 
 from groversim import statevector
 from groversim.grover import GroverConfig, IterationRecord, MarkedSet
-from groversim.statevector import SizeLimitError, _basis_index, check_register_size
+from groversim.statevector import SizeLimitError, _integer, check_register_size
 
 # dense_operator_of materializes 2**n x 2**n matrices; test-oracle scale only.
 MAX_DENSE_QUBITS = 8
@@ -114,7 +114,7 @@ def target_probability(state: StateVector, indices: Iterable[int]) -> float:
 
 
 def _validated_indices(state: StateVector, indices: Iterable[int]) -> np.ndarray:
-    idx = np.unique(np.fromiter(map(_basis_index, indices), dtype=np.int64, count=-1))
+    idx = np.unique(np.fromiter((_integer(i, "basis index") for i in indices), dtype=np.int64, count=-1))
     if idx.size and (idx[0] < 0 or idx[-1] >= state.dim):
         raise IndexError(
             f"basis index out of range [0, {state.dim}) for {state.n_qubits} qubits"

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +24,15 @@ from groversim import (
     sweep_compare,
 )
 from groversim.analysis import (
-    SEARCH_BATCH_AMPLITUDES,
+    _SCREEN_BOUND,
     SEARCH_GRID_STEP,
     SEARCH_REFINE_TOL,
-    _first_iteration_objective,
+    _first_iteration_closed_form,
+    _first_iteration_probability,
     _golden_section_max,
     simulated_amplitude_series,
 )
-from groversim import grover
+from groversim import analysis, grover
 from groversim.grover import gate_zr_y
 from conftest import SCHEDULES
 from oracle import modified_diffusion, phase_flip_indices, target_probability, uniform_state
@@ -91,6 +91,10 @@ class TestRecurrence:
             recurrence_table(0, 3)
         with pytest.raises(SizeLimitError):
             recurrence_table(53, 3)
+        for n in (3.5, 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                recurrence_table(n, 3)
+        assert recurrence_table(np.int64(3), 2) == recurrence_table(3, 2)
 
 
 class TestSuccessModels:
@@ -145,16 +149,42 @@ class TestOptimalPhaseSearch:
     def test_matches_closed_form(self, n):
         assert abs(optimal_phase_search(n) - fixed_phase(n)) < 1e-6
 
+    @pytest.mark.parametrize(
+        "n, bits",
+        [
+            (2, "0x1.0d8e28b753698p-26"),
+            (3, "0x1.dac67008ca85ep-1"),
+            (4, "0x1.4978fb1ce46bep+0"),
+            (5, "0x1.700a7cea066d0p+0"),
+            (6, "0x1.819d0b7e0d7b6p+0"),
+            (7, "0x1.89ff60a00db08p+0"),
+            (8, "0x1.8e17aae19781bp+0"),
+            (9, "0x1.901db4edf29a3p+0"),
+            (10, "0x1.911f359fb1fd9p+0"),
+            (11, "0x1.919f95bb5837ep+0"),
+            (12, "0x1.91dfadb23870ap+0"),
+        ],
+    )
+    def test_bits_of_committed_angle_table(self, n, bits):
+        # The values behind results/angle_table.csv's phase_search column.
+        assert optimal_phase_search(n).hex() == bits
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             optimal_phase_search(1)
         with pytest.raises(ValueError):
             optimal_phase_search(13)
+        for n in (3.5, 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                optimal_phase_search(n)
 
 
 class TestFirstIterationObjective:
-    """The search objective must equal the full simulation bit for bit: the
-    committed angle table depends on every comparison the search makes."""
+    """The search's exact values must equal the full simulation bit for bit:
+    the committed angle table depends on every comparison the search
+    makes. The closed form only screens the grid, within _SCREEN_BOUND."""
+
+    GRID = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
 
     @staticmethod
     def full_simulation(n):
@@ -164,58 +194,86 @@ class TestFirstIterationObjective:
             modified_diffusion(after_oracle, gate_zr_y(theta)), marked
         )
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_equals_full_simulation_on_grid_and_refinement(self, n):
-        objective = _first_iteration_objective(n)
+        exact = _first_iteration_probability(n)
         full = self.full_simulation(n)
-        grid = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
-        thetas = grid[::105]
+        thetas = self.GRID[::105].tolist()
         assert len(thetas) == 60
-        assert objective(thetas).tolist() == [full(t) for t in thetas]
+        assert [exact(t) for t in thetas] == [full(t) for t in thetas]
 
-        k = int(np.abs(grid - fixed_phase(n)).argmin())
+        k = int(np.abs(self.GRID - fixed_phase(n)).argmin())
         probes = []
 
         def both(theta):
-            value = float(objective(np.array([theta]))[0])
+            value = exact(theta)
             probes.append((theta, value, full(theta)))
             return value
 
-        _golden_section_max(both, float(grid[k - 1]), float(grid[k + 1]), SEARCH_REFINE_TOL)
+        lo, hi = float(self.GRID[k - 1]), float(self.GRID[k + 1])
+        _golden_section_max(both, lo, hi, SEARCH_REFINE_TOL)
         assert len(probes) > 30
         assert [p for p in probes if p[1] != p[2]] == []
 
     def test_equals_full_simulation_at_twelve_qubits(self):
-        objective = _first_iteration_objective(12)
+        exact = _first_iteration_probability(12)
         full = self.full_simulation(12)
-        thetas = np.array([-math.pi, -1.0, 0.0, fixed_phase(12), 3.0])
-        assert objective(thetas).tolist() == [full(t) for t in thetas]
-
-    @pytest.mark.parametrize("n", [5, 9, 12])
-    def test_bytes_do_not_depend_on_batching(self, n):
-        # One zgemm spans every register of a batch; its rounding must not
-        # depend on how many registers there are.
-        objective = _first_iteration_objective(n)
-        thetas = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)[::105]
-        whole = objective(thetas).tobytes()
-        singles = np.concatenate([objective(thetas[i : i + 1]) for i in range(len(thetas))])
-        threes = np.concatenate([objective(thetas[i : i + 3]) for i in range(0, len(thetas), 3)])
-        assert singles.tobytes() == whole
-        assert threes.tobytes() == whole
+        thetas = [-math.pi, -1.0, 0.0, fixed_phase(12), 3.0]
+        assert [exact(t) for t in thetas] == [full(t) for t in thetas]
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_full_batch_peak_memory(self, n):
-        # A batch is its (k, N) buffer and one more for the closing layers.
-        objective = _first_iteration_objective(n)
-        thetas = np.linspace(-3.0, 3.0, max(1, SEARCH_BATCH_AMPLITUDES >> n))
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            objective(thetas)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start < 3 * SEARCH_BATCH_AMPLITUDES * 16 + 64 * 1024
+    def test_equals_run_loop_first_iteration(self, n):
+        # Three angles, in both orders: the helper reuses its two buffers,
+        # so no value may depend on the call before.
+        exact = _first_iteration_probability(n)
+        marked = MarkedSet(frozenset({(1 << n) - 1}))
+        records = [
+            next(iterate_grover(GroverConfig(n, marked, Schedule(kind), max_iterations=1)))
+            for kind in (ScheduleKind.FIXED, ScheduleKind.ADAPTIVE, ScheduleKind.STANDARD)
+        ]
+        for order in (records, records[::-1]):
+            assert [exact(r.theta_used) for r in order] == [r.target_probability for r in order]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_within_screen_bound_on_sampled_grid(self, n):
+        # A sample of the grid, and every grid point within 20 of the
+        # screen's best; the search's docstring bounds the rest.
+        closed = _first_iteration_closed_form(n, self.GRID)
+        k = int(closed.argmax())
+        assert k == int(np.abs(self.GRID - fixed_phase(n)).argmin())
+        sample = np.union1d(np.arange(0, len(self.GRID), 105), np.arange(k - 20, k + 21))
+        exact = _first_iteration_probability(n)
+        gaps = [abs(exact(float(self.GRID[j])) - closed[j]) for j in sample]
+        assert max(gaps) <= _SCREEN_BOUND / 100
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closed_form_within_screen_bound_on_full_grid(self, n):
+        closed = _first_iteration_closed_form(n, self.GRID)
+        exact = _first_iteration_probability(n)
+        values = np.array([exact(t) for t in self.GRID.tolist()])
+        assert np.abs(values - closed).max() <= _SCREEN_BOUND / 100
+        # The search brackets the first maximum of the exact values.
+        k = int(values.argmax())
+        assert self.GRID[k - 1] <= optimal_phase_search(n) <= self.GRID[k + 1]
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_search_evaluates_one_candidate_and_the_refinement(self, n, monkeypatch):
+        # The screen leaves one grid point per n, so the search calls the
+        # kernel there and at each golden-section step, and nowhere else.
+        calls = []
+
+        def counted(n_qubits):
+            exact = _first_iteration_probability(n_qubits)
+            return lambda theta: calls.append(theta) or exact(theta)
+
+        monkeypatch.setattr(analysis, "_first_iteration_probability", counted)
+        optimal_phase_search(n)
+        k = int(np.abs(self.GRID - fixed_phase(n)).argmin())
+        lo, hi = float(self.GRID[k - 1]), float(self.GRID[k + 1])
+        probes = []
+        _golden_section_max(lambda t: probes.append(t) or 0.0, lo, hi, SEARCH_REFINE_TOL)
+        assert calls[0] == self.GRID[k]
+        assert len(calls) == 1 + len(probes) < 40
 
 
 class TestFindPeak:

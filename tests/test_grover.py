@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -301,33 +302,6 @@ class TestHadamardLayers:
         got, _ = grover._hadamard_layers(result, spare, result)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize(
-        "family, k, n",
-        itertools.product(["real", "wide-range", "signed-zero-basis"], [3, 5], range(1, 11)),
-    )
-    def test_registers_in_rows_bytewise(self, family, k, n):
-        # A (k, N) buffer is k registers; amplitude x of register j comes
-        # out at flat index x*k + j, with the bytes of k single-register
-        # calls, each of which matches the oracle.
-        rng = np.random.default_rng(1000 * k + n)
-        batch = np.array([layer_test_amps(family, n, rng) for _ in range(k)])
-        before = batch.copy()
-        singles = []
-        for row in batch:
-            single, _ = grover._hadamard_layers(row, np.empty_like(row), np.empty_like(row))
-            assert_real_part_bytes(single, per_qubit_hadamards(row))
-            singles.append(single)
-        expected = np.stack(singles, axis=1).tobytes()
-        first, second = np.empty_like(batch), np.empty_like(batch)
-        result, spare = grover._hadamard_layers(batch, first, second)
-        assert result.reshape(-1).tobytes() == expected
-        assert batch.tobytes() == before.tobytes()
-        assert result is (first if n % 2 else second) and spare is (second if n % 2 else first)
-        out = np.empty_like(batch)
-        result, spare = grover._hadamard_layers(batch, out, batch)
-        assert result.reshape(-1).tobytes() == expected
-        assert result is (out if n % 2 else batch) and spare is (batch if n % 2 else out)
-
     @pytest.mark.parametrize("n, parts", [(1, [0.0, -0.0, 0.5, -0.5]), (2, [0.0, -0.0, 0.5])])
     def test_signed_zeros_bytewise(self, n, parts):
         # Every state whose amplitudes come from `parts`: exact zeros reach
@@ -342,6 +316,34 @@ class TestHadamardLayers:
             src = amps.copy()
             result, _ = grover._hadamard_layers(src, first, src)
             assert_real_part_bytes(result, expected)
+
+    @pytest.mark.parametrize("family, n", itertools.product(["real", "wide-range"], [5, 12]))
+    def test_dgemm_layer_is_fused_multiply_add(self, family, n):
+        # The committed bytes rest on this arithmetic: each output of a
+        # q >= 1 layer (the np.matmul of _hadamard_layers) is
+        # fma(h[r,1], x1, h[r,0]*x0), one rounding after the rounded
+        # product, checked here in exact rational arithmetic.
+        h, half = grover.HADAMARD, 1 << (n - 1)
+        x = layer_test_amps(family, n, np.random.default_rng(n))
+        y = np.empty(2 * half)
+        np.matmul(h, x.reshape(half, 2).T, out=y.reshape(2, half))
+        x0, x1 = x[0::2].tolist(), x[1::2].tolist()
+        expected = [
+            float(Fraction(h[r, 1]) * Fraction(x1[i]) + Fraction(float(h[r, 0]) * x0[i]))
+            for r in range(2)
+            for i in range(half)
+        ]
+        wrong = int((y != np.array(expected)).sum())
+        if wrong:
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            core = os.environ.get("OPENBLAS_CORETYPE", "unset")
+            pytest.fail(
+                f"{wrong} of {2 * half} layer outputs are not fma(h[r,1], x1, h[r,0]*x0) "
+                f"on BLAS {blas.get('name')} {blas.get('version')} "
+                f"({blas.get('openblas configuration', 'no OpenBLAS configuration')}), "
+                f"OPENBLAS_CORETYPE={core}: the committed bytes under results/ are not "
+                "reproducible on this build"
+            )
 
 
 class TestNOptimal:
@@ -606,6 +608,14 @@ class TestConfigValidation:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             GroverConfig(21, MarkedSet(frozenset({0})))
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, np.float64(3.0)])
+    def test_non_integer_size_is_rejected(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer, got {n!r}")):
+            GroverConfig(n, MarkedSet(frozenset({7})))
+
+    def test_numpy_integer_size_is_accepted(self):
+        assert GroverConfig(np.int64(3), MarkedSet(frozenset({7}))).max_iterations == 6
 
     def test_bad_max_iterations(self):
         with pytest.raises(ValueError):

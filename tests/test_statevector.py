@@ -42,6 +42,11 @@ class TestUniformSuperposition:
         with pytest.raises(SizeLimitError):
             uniform_superposition(n)
 
+    @pytest.mark.parametrize("n", [3.0, 3.5, np.float64(3.0), "3"])
+    def test_rejects_non_integer_sizes(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer, got {n!r}")):
+            uniform_superposition(n)
+
     def test_largest_supported_size(self):
         amps = uniform_superposition(20)
         assert amps.shape == (1 << 20,)
