@@ -18,7 +18,7 @@ from pathlib import Path
 
 PROBABILITY_TOL = 1e-12
 SEARCH_TOL = 1e-7
-# angle_table.csv columns that follow the search; abs_difference is
+# Angle-table columns that follow the search; abs_difference is
 # |phase_search - phase_closed_form|.
 SEARCH_COLUMNS = {"phase_search", "abs_difference"}
 

@@ -15,6 +15,8 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 JOBS = [
     # first-iteration rotation angles: closed form vs numeric search
     ("angle_table.csv", ["angles", "--qubits", "2..12"]),
+    # the same check past the paper's 12-qubit stop, up to the register's limit
+    ("angle_table_large.csv", ["angles", "--qubits", "13..20"]),
     # iteration-count comparison, standard vs hybrid schedule
     ("sweep_hybrid.csv", ["sweep", "--qubits", "2..13", "--schedule", "hybrid-eq11-12"]),
     ("sweep_hybrid.json", ["sweep", "--qubits", "2..13", "--schedule", "hybrid-eq11-12", "--format", "json"]),

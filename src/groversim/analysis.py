@@ -20,7 +20,6 @@ import numpy as np
 from .grover import (
     GroverConfig,
     IterationRecord,
-    MarkedSet,
     Schedule,
     _diffuse,
     gate_zr_y,
@@ -32,7 +31,6 @@ from .statevector import SizeLimitError, _integer, _probability, check_register_
 # Grid step and bracket-refinement width for the rotation-angle search.
 SEARCH_GRID_STEP = 1e-3
 SEARCH_REFINE_TOL = 1e-9
-MAX_SEARCH_QUBITS = 12
 # Bound on |f - g| for the search's closed-form screen; see optimal_phase_search.
 _SCREEN_BOUND = 1e-12
 
@@ -57,7 +55,7 @@ def recurrence_table(n_qubits: int, iterations: int) -> list[float]:
         raise SizeLimitError(
             f"recurrence supports 1..{MAX_RECURRENCE_QUBITS} qubits, got {n_qubits}"
         )
-    if iterations < 1:
+    if _integer(iterations, "iterations") < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     big_n = 2.0**n_qubits
     a = b = 1.0 / math.sqrt(big_n)
@@ -148,11 +146,9 @@ def optimal_phase_search(n_qubits: int) -> float:
     n = 20. g's terms are at most 2 in size, its sine and cosine within a
     few ulps, and 2|f1|/N <= 1, so g is off by about 20u = 2.2e-15.
     """
-    n_qubits = _integer(n_qubits, "n_qubits")
-    if not 2 <= n_qubits <= MAX_SEARCH_QUBITS:
-        raise ValueError(
-            f"phase search supports 2..{MAX_SEARCH_QUBITS} qubits, got {n_qubits}"
-        )
+    n_qubits = check_register_size(n_qubits)
+    if n_qubits < 2:
+        raise ValueError(f"phase search needs at least 2 qubits, got {n_qubits}")
     grid = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
     screen = _first_iteration_closed_form(n_qubits, grid)
     f = _first_iteration_probability(n_qubits)
@@ -254,10 +250,10 @@ class SweepReport:
 def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     """Standard-vs-scheduled peak comparison over an inclusive qubit range.
 
-    Each n runs both schedules with the all-ones state marked for up to
-    2 * n_optimal + 2 iterations, stopping one record past the first
-    success-probability crest, and tabulates the crest iteration counts,
-    their ratio and the percent improvement.
+    Each n runs both schedules with GroverConfig's default target, the
+    all-ones state, for up to 2 * n_optimal + 2 iterations, stopping one
+    record past the first success-probability crest, and tabulates the
+    crest iteration counts, their ratio and the percent improvement.
     """
     check_register_size(n_lo)
     check_register_size(n_hi)
@@ -265,12 +261,9 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
         raise ValueError(f"empty qubit range {n_lo}..{n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        marked = MarkedSet(frozenset({(1 << n) - 1}))
-        std_iters, std_peak = find_peak_iteration(
-            iterate_grover(GroverConfig(n, marked, Schedule()))
-        )
+        std_iters, std_peak = find_peak_iteration(iterate_grover(GroverConfig(n)))
         mod_iters, mod_peak = find_peak_iteration(
-            iterate_grover(GroverConfig(n, marked, schedule))
+            iterate_grover(GroverConfig(n, schedule=schedule))
         )
         ratio = mod_iters / std_iters
         rows.append(

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     MAX_RECURRENCE_QUBITS,
-    MAX_SEARCH_QUBITS,
     SuccessModel,
     optimal_phase_search,
     recurrence_table,
@@ -45,7 +44,7 @@ from .grover import (
     fixed_phase,
     iterate_grover,
 )
-from .statevector import SizeLimitError, check_register_size
+from .statevector import MAX_QUBITS, SizeLimitError
 
 # Statevector cross-check column in `recurrence` is produced up to this size;
 # beyond it only the recurrence column is emitted.
@@ -273,10 +272,9 @@ def main():
 @_guarded
 def cmd_run(qubits, marked, iterations, schedule, fmt, out):
     """Simulate one search run and emit its per-iteration trace."""
-    if marked is None:
-        check_register_size(qubits)
-        marked = frozenset({(1 << qubits) - 1})
-    config = GroverConfig(qubits, MarkedSet(marked), schedule, iterations)
+    config = GroverConfig(
+        qubits, None if marked is None else MarkedSet(marked), schedule, iterations
+    )
     rows = [vars(r) for r in iterate_grover(config)]
     notes = []
     if schedule.kind is not ScheduleKind.STANDARD and config.marked.count > 1:
@@ -322,8 +320,8 @@ def cmd_sweep(qubit_range, schedule, fmt, out):
 def cmd_angles(qubit_range, fmt, out):
     """Tabulate the closed-form rotation angle against the numeric search.
 
-    The search column is filled while the search is supported (n <= 12);
-    larger registers emit the closed form only.
+    The search column is filled up to the register's limit (n <= 20,
+    MAX_QUBITS); larger registers emit the closed form only.
     """
     lo, hi = qubit_range
     # The closed-form ceiling; from n = 55 on the angle rounds to pi/2 exactly.
@@ -334,7 +332,7 @@ def cmd_angles(qubit_range, fmt, out):
         closed = fixed_phase(n)
         numerator = (1 << (n - 2)) - 1
         denominator = 1 << (n - 2)
-        searched = optimal_phase_search(n) if n <= MAX_SEARCH_QUBITS else None
+        searched = optimal_phase_search(n) if n <= MAX_QUBITS else None
         rows.append(
             {
                 "n": n,
@@ -392,12 +390,10 @@ def cmd_recurrence(qubits, iterations, fmt, out):
 @_guarded
 def cmd_curve(qubits, iterations, with_model, schedule, fmt, out):
     """Success probability per iteration (iteration 0 = initial state)."""
-    check_register_size(qubits)
-    marked = MarkedSet(frozenset({(1 << qubits) - 1}))
-    config = GroverConfig(qubits, marked, schedule, iterations)
+    config = GroverConfig(qubits, schedule=schedule, max_iterations=iterations)
     probabilities = [r.target_probability for r in iterate_grover(config)]
     probabilities.insert(0, _initial_probability(config))
-    model = SuccessModel.for_search(qubits, marked.count)
+    model = SuccessModel.for_search(qubits, config.marked.count)
     rows = []
     for i, p in enumerate(probabilities):
         row = {"iteration": i, "probability": p}

@@ -161,7 +161,7 @@ def fixed_phase(n_qubits: int) -> float:
     Zero for n = 2, strictly increasing in n, approaching pi/2 for large
     registers.
     """
-    if n_qubits < 2:
+    if _integer(n_qubits, "n_qubits") < 2:
         raise ValueError(f"fixed phase angle needs at least 2 qubits, got {n_qubits}")
     half = 1 << (n_qubits - 2)
     return 2.0 * math.atan((half - 1) / half)
@@ -178,7 +178,7 @@ def adaptive_phase(
     MULTIPLICATIVE scales the base angle by it. As i grows the term tends
     to 2, so the limits are base + 2 and 2 * base respectively.
     """
-    if iteration < 1:
+    if _integer(iteration, "iteration") < 1:
         raise ValueError(f"iteration index must be >= 1, got {iteration}")
     base = fixed_phase(n_qubits)
     growth = 1.0 + (2 * iteration - 1) / (2 * iteration + 1)
@@ -267,9 +267,9 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
     """Conventional iteration optimum floor((pi/4) * sqrt(N/M))."""
-    if marked_count < 1:
+    if _integer(marked_count, "marked_count") < 1:
         raise ValueError(f"marked count must be >= 1, got {marked_count}")
-    dim = 1 << n_qubits
+    dim = 1 << _integer(n_qubits, "n_qubits")
     if marked_count >= dim:
         raise ValueError(f"marked count {marked_count} must be < {dim}")
     return math.floor(math.pi / 4.0 * math.sqrt(dim / marked_count))
@@ -283,17 +283,19 @@ def default_max_iterations(n_qubits: int, marked_count: int) -> int:
 @dataclass
 class GroverConfig:
     n_qubits: int
-    marked: MarkedSet
+    marked: MarkedSet | None = None  # None -> {2**n - 1}, the all-ones index
     schedule: Schedule = field(default_factory=Schedule)
     max_iterations: int | None = None  # None -> default_max_iterations
 
     def __post_init__(self):
-        check_register_size(self.n_qubits)
+        self.n_qubits = check_register_size(self.n_qubits)
+        if self.marked is None:
+            self.marked = MarkedSet(frozenset({(1 << self.n_qubits) - 1}))
         self.marked.validate_for(self.n_qubits)
         if self.schedule.kind is not ScheduleKind.STANDARD and self.n_qubits < 2:
             raise ValueError("modified schedules need at least 2 qubits")
         if self.schedule.rotation_target is not None and not (
-            0 <= self.schedule.rotation_target < self.n_qubits
+            0 <= _integer(self.schedule.rotation_target, "rotation_target") < self.n_qubits
         ):
             raise ValueError(
                 f"rotation target {self.schedule.rotation_target} out of range "
@@ -301,6 +303,7 @@ class GroverConfig:
             )
         if self.max_iterations is None:
             self.max_iterations = default_max_iterations(self.n_qubits, self.marked.count)
+        self.max_iterations = _integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -30,12 +30,13 @@ class NormDriftError(ValueError):
     """A state's squared norm left 1 by more than the run's tolerance."""
 
 
-def check_register_size(n_qubits: int) -> None:
-    """Raise ValueError unless n_qubits is an integer, and SizeLimitError
-    unless 1 <= n_qubits <= MAX_QUBITS."""
+def check_register_size(n_qubits: int) -> int:
+    """n_qubits as an int. Raise ValueError unless it is an integer, and
+    SizeLimitError unless 1 <= n_qubits <= MAX_QUBITS."""
     n_qubits = _integer(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise SizeLimitError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+    return n_qubits
 
 
 # 2x2 float64, row-major; read-only because every run shares it.

@@ -85,8 +85,9 @@ class TestRecurrence:
             assert abs(measured - model) < 1e-4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            recurrence_table(5, 0)
+        for iterations in (0, 2.5):
+            with pytest.raises(ValueError):
+                recurrence_table(5, iterations)
         with pytest.raises(SizeLimitError):
             recurrence_table(0, 3)
         with pytest.raises(SizeLimitError):
@@ -170,10 +171,12 @@ class TestOptimalPhaseSearch:
         assert optimal_phase_search(n).hex() == bits
 
     def test_rejects_out_of_range(self):
+        # The search runs over the register's own range, minus n = 1.
+        assert abs(optimal_phase_search(13) - fixed_phase(13)) < 1e-7
         with pytest.raises(ValueError):
             optimal_phase_search(1)
-        with pytest.raises(ValueError):
-            optimal_phase_search(13)
+        with pytest.raises(SizeLimitError):
+            optimal_phase_search(21)
         for n in (3.5, 3.0, np.float64(3.0)):
             with pytest.raises(ValueError, match="n_qubits must be an integer"):
                 optimal_phase_search(n)
@@ -234,7 +237,7 @@ class TestFirstIterationObjective:
         for order in (records, records[::-1]):
             assert [exact(r.theta_used) for r in order] == [r.target_probability for r in order]
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_closed_form_within_screen_bound_on_sampled_grid(self, n):
         # A sample of the grid, and every grid point within 20 of the
         # screen's best; the search's docstring bounds the rest.
@@ -256,10 +259,11 @@ class TestFirstIterationObjective:
         k = int(values.argmax())
         assert self.GRID[k - 1] <= optimal_phase_search(n) <= self.GRID[k + 1]
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 18))
     def test_search_evaluates_one_candidate_and_the_refinement(self, n, monkeypatch):
-        # The screen leaves one grid point per n, so the search calls the
-        # kernel there and at each golden-section step, and nowhere else.
+        # The screen leaves one grid point per n up to 17 (two from 18 on),
+        # so the search calls the kernel there and at each golden-section
+        # step, and nowhere else.
         calls = []
 
         def counted(n_qubits):

@@ -189,7 +189,10 @@ class TestAnglesCommand:
             assert float(row["abs_difference"]) < 1e-6
 
     def test_search_column_empty_beyond_supported_size(self, cli):
-        result = cli("angles", "--qubits", "13..14")
+        # The search runs up to the register's limit, n = 20.
+        _, rows = csv_rows(cli("angles", "--qubits", "13..13").output)
+        assert float(rows[0]["abs_difference"]) < 1e-7
+        result = cli("angles", "--qubits", "21..22")
         assert result.exit_code == 0
         _, rows = csv_rows(result.output)
         for row in rows:

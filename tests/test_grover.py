@@ -73,9 +73,10 @@ class TestFixedPhase:
         assert values[-1] < math.pi / 2.0
         assert math.pi / 2.0 - values[-1] < 1e-4
 
-    def test_rejects_small_registers(self):
+    @pytest.mark.parametrize("n", [1, 3.0])
+    def test_rejects_small_registers(self, n):
         with pytest.raises(ValueError):
-            fixed_phase(1)
+            fixed_phase(n)
 
 
 class TestAdaptivePhase:
@@ -99,9 +100,10 @@ class TestAdaptivePhase:
         values = [adaptive_phase(6, i) for i in range(1, 30)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_rejects_bad_iteration(self):
+    @pytest.mark.parametrize("n, iteration", [(5, 0), (3, 1.5)])
+    def test_rejects_bad_iteration(self, n, iteration):
         with pytest.raises(ValueError):
-            adaptive_phase(5, 0)
+            adaptive_phase(n, iteration)
 
 
 @pytest.mark.parametrize(
@@ -356,11 +358,10 @@ class TestNOptimal:
         assert n_optimal_standard(13, 1) == 71
         assert n_optimal_standard(2, 1) == 1
 
-    def test_rejects_bad_marked_counts(self):
+    @pytest.mark.parametrize("n, count", [(3, 8), (3, 0), (3, 1.5), (3.5, 1)])
+    def test_rejects_bad_arguments(self, n, count):
         with pytest.raises(ValueError):
-            n_optimal_standard(3, 8)
-        with pytest.raises(ValueError):
-            n_optimal_standard(3, 0)
+            n_optimal_standard(n, count)
 
 
 class TestIterateGrover:
@@ -597,9 +598,10 @@ class TestConfigValidation:
         assert marked.indices == {3, 5}
         assert all(type(i) is int for i in marked.indices)
 
-    def test_rotation_target_out_of_range(self):
+    @pytest.mark.parametrize("target", [3, 1.0])
+    def test_rotation_target_out_of_range(self, target):
         with pytest.raises(ValueError):
-            GroverConfig(3, MARK_ALL_ONES(3), Schedule(rotation_target=3))
+            GroverConfig(3, MARK_ALL_ONES(3), Schedule(rotation_target=target))
 
     def test_modified_needs_two_qubits(self):
         with pytest.raises(ValueError):
@@ -615,8 +617,18 @@ class TestConfigValidation:
             GroverConfig(n, MarkedSet(frozenset({7})))
 
     def test_numpy_integer_size_is_accepted(self):
-        assert GroverConfig(np.int64(3), MarkedSet(frozenset({7}))).max_iterations == 6
+        config = GroverConfig(np.int64(3), MarkedSet(frozenset({7})))
+        assert config.max_iterations == 6
+        assert type(config.n_qubits) is int
 
-    def test_bad_max_iterations(self):
+    @pytest.mark.parametrize("bad", [0, 2.5])
+    def test_bad_max_iterations(self, bad):
         with pytest.raises(ValueError):
-            GroverConfig(3, MARK_ALL_ONES(3), max_iterations=0)
+            GroverConfig(3, MARK_ALL_ONES(3), max_iterations=bad)
+
+    @pytest.mark.parametrize("kind", list(ScheduleKind))
+    def test_marked_defaults_to_all_ones_index(self, kind):
+        config = GroverConfig(5, schedule=Schedule(kind))
+        assert config.marked == MARK_ALL_ONES(5)
+        explicit = GroverConfig(5, MARK_ALL_ONES(5), Schedule(kind))
+        assert list(iterate_grover(config)) == list(iterate_grover(explicit))
