@@ -12,7 +12,6 @@ from .grover import (
     GroverConfig,
     HybridOrder,
     IterationRecord,
-    MarkedSet,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
@@ -48,7 +47,6 @@ __all__ = [
     "GroverConfig",
     "HybridOrder",
     "IterationRecord",
-    "MarkedSet",
     "RatioInterpretation",
     "Schedule",
     "ScheduleKind",

@@ -24,7 +24,6 @@ from .grover import (
     _diffuse,
     gate_zr_y,
     iterate_grover,
-    standard_diffusion_mean,
 )
 from .statevector import SizeLimitError, _integer, _probability, check_register_size, uniform_superposition
 
@@ -74,14 +73,25 @@ def simulated_amplitude_series(n_qubits: int, count: int) -> list[float]:
     recurrence (the gate form differs by an alternating overall sign).
     The state is a float64 register throughout.
     """
-    marked_index = (1 << n_qubits) - 1
     amps = uniform_superposition(n_qubits)
+    marked_index = amps.size - 1
     out = []
-    for _ in range(count):
+    for _ in range(_integer(count, "count")):
         out.append(float(amps[marked_index]))
         amps[marked_index] *= -1.0
         amps = standard_diffusion_mean(amps)
     return out
+
+
+def standard_diffusion_mean(amps: np.ndarray) -> np.ndarray:
+    """Inversion about the mean: each amplitude a becomes 2m - a.
+
+    m is the mean numpy takes over the register cast to complex128, whose
+    pairwise sum rounds as the float64 one does not; the recurrence's
+    statevector column rests on those bytes.
+    """
+    m = np.mean(amps.astype(np.complex128)).real
+    return 2.0 * m - amps
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,22 @@ class SuccessModel:
         marked_count: int = 1,
         delta_theta: float = math.sqrt(2.0) - 1.0,
     ) -> "SuccessModel":
-        return cls(math.asin(math.sqrt(marked_count / 2.0**n_qubits)), delta_theta)
+        dim = 2.0 ** _integer(n_qubits, "n_qubits")
+        if not 1 <= _integer(marked_count, "marked_count") < dim:
+            raise ValueError(f"marked count {marked_count} must be in [1, 2**{n_qubits})")
+        return cls(math.asin(math.sqrt(marked_count / dim)), delta_theta)
 
 
 def success_probability_standard(iterations: int, model: SuccessModel) -> float:
     """sin^2((2i+1) * theta0); i = 0 gives the initial probability M/N."""
-    if iterations < 0:
+    if _integer(iterations, "iterations") < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     return math.sin((2 * iterations + 1) * model.theta0) ** 2
 
 
 def success_probability_modified(iterations: int, model: SuccessModel) -> float:
     """sin^2((2i+1) * (1 + delta_theta) * theta0)."""
-    if iterations < 0:
+    if _integer(iterations, "iterations") < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     return math.sin((2 * iterations + 1) * (1.0 + model.delta_theta) * model.theta0) ** 2
 

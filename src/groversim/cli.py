@@ -37,7 +37,6 @@ from .analysis import (
 from .grover import (
     GroverConfig,
     HybridOrder,
-    MarkedSet,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
@@ -79,10 +78,9 @@ def _parse_marked(ctx, param, value):
     if value is None:
         return None
     try:
-        indices = frozenset(int(tok) for tok in str(value).split(","))
+        return frozenset(int(tok) for tok in str(value).split(","))
     except ValueError:
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
-    return indices
 
 
 def _guarded(fn):
@@ -248,7 +246,7 @@ def _initial_probability(config: GroverConfig) -> float:
     uniform_superposition; the run loop's readout, |a|**2 summed over the
     same M values, gives the same bytes without a full register.
     """
-    amps = np.full(config.marked.count, 1.0 / math.sqrt(1 << config.n_qubits))
+    amps = np.full(len(config.marked), 1.0 / math.sqrt(1 << config.n_qubits))
     return float((np.abs(amps) ** 2).sum())
 
 
@@ -272,20 +270,18 @@ def main():
 @_guarded
 def cmd_run(qubits, marked, iterations, schedule, fmt, out):
     """Simulate one search run and emit its per-iteration trace."""
-    config = GroverConfig(
-        qubits, None if marked is None else MarkedSet(marked), schedule, iterations
-    )
+    config = GroverConfig(qubits, marked, schedule, iterations)
     rows = [vars(r) for r in iterate_grover(config)]
     notes = []
-    if schedule.kind is not ScheduleKind.STANDARD and config.marked.count > 1:
+    if schedule.kind is not ScheduleKind.STANDARD and len(config.marked) > 1:
         notes.append(
             "modified schedules assume a single marked state; "
-            f"results for {config.marked.count} marked states are exploratory"
+            f"results for {len(config.marked)} marked states are exploratory"
         )
     meta = _base_meta("run", schedule)
     meta.update(
         qubits=qubits,
-        marked=sorted(config.marked.indices),
+        marked=list(config.marked),
         iterations=config.max_iterations,
         initial_probability=_initial_probability(config),
         notes=notes,
@@ -393,7 +389,7 @@ def cmd_curve(qubits, iterations, with_model, schedule, fmt, out):
     config = GroverConfig(qubits, schedule=schedule, max_iterations=iterations)
     probabilities = [r.target_probability for r in iterate_grover(config)]
     probabilities.insert(0, _initial_probability(config))
-    model = SuccessModel.for_search(qubits, config.marked.count)
+    model = SuccessModel.for_search(qubits, len(config.marked))
     rows = []
     for i, p in enumerate(probabilities):
         row = {"iteration": i, "probability": p}

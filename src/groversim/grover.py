@@ -1,12 +1,13 @@
 """Grover search: phase schedules, their gates, and the run loop.
 
-The standard diffusion reflects every amplitude about the mean. The modified
-schedules replace the controlled phase flip inside the gate-level diffusion
-with a controlled rotation whose angle is set per run (fixed-eq9), per
-iteration (adaptive-eq10), or switches gate family after the first iteration
-(hybrid-eq11-12); the standard schedule is the zero angle of the same
-operator. All operators here drop an overall -1 factor, which leaves every
-probability unchanged.
+Every schedule runs through one diffusion, _diffuse, the gate-level
+H^n X^n C-U X^n H^n. The standard schedule takes U = Z, which reflects
+every amplitude about the mean. The modified schedules replace Z with a
+controlled rotation whose angle is set per run (fixed-eq9), per iteration
+(adaptive-eq10), or switches gate family after the first iteration
+(hybrid-eq11-12). All operators here drop an overall -1 factor, which
+leaves every probability unchanged. The mean form of the reflection lives
+in analysis, as the recurrence's independent check.
 
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
@@ -127,34 +128,6 @@ class Schedule:
         return theta, gate_hr_y(theta)
 
 
-@dataclass(frozen=True)
-class MarkedSet:
-    """Basis indices the oracle flips; the search targets exactly these."""
-
-    indices: frozenset
-
-    def __post_init__(self):
-        idx = frozenset(_integer(i, "basis index") for i in self.indices)
-        if not idx:
-            raise ValueError("marked set must be nonempty")
-        if min(idx) < 0:
-            raise ValueError("marked indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def count(self) -> int:
-        return len(self.indices)
-
-    def validate_for(self, n_qubits: int) -> None:
-        dim = 1 << n_qubits
-        if max(self.indices) >= dim:
-            raise ValueError(
-                f"marked index {max(self.indices)} out of range for {n_qubits} qubits"
-            )
-        if self.count >= dim:
-            raise ValueError("marked set must leave at least one unmarked state")
-
-
 def fixed_phase(n_qubits: int) -> float:
     """Rotation angle maximizing one-step amplification: 2*atan(1 - 4/N).
 
@@ -187,28 +160,18 @@ def adaptive_phase(
     return base + growth
 
 
-def standard_diffusion_mean(amps: np.ndarray) -> np.ndarray:
-    """Inversion about the mean: each amplitude a becomes 2m - a.
-
-    m is the mean numpy takes over the register cast to complex128, whose
-    pairwise sum rounds as the float64 one does not; the recurrence's
-    statevector column rests on those bytes.
-    """
-    m = np.mean(amps.astype(np.complex128)).real
-    return 2.0 * m - amps
-
-
 def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray, target: int) -> tuple:
     """The diffusion H^n X^n C-U X^n H^n applied to src, with U = m on
     qubit target, controlled by every other qubit.
 
     Schedule.step picks m; gate_zr_y(0) is exactly Z, giving the standard
-    diffusion (equal to standard_diffusion_mean up to an overall sign).
-    X^n C-U X^n is m acting on the amplitude pair (2**target, 0) alone, so
-    that pair is updated between the two H^n. X's 0/1 matmul moves
-    amplitudes exactly, so the result is byte-identical to the real part of
-    the gate-by-gate circuit of tests/oracle.py, which runs on a complex
-    copy of src (up to the one exception _hadamard_layers states).
+    diffusion, equal up to an overall sign to the mean form
+    analysis.standard_diffusion_mean. X^n C-U X^n is m acting on the
+    amplitude pair (2**target, 0) alone, so that pair is updated between
+    the two H^n. X's 0/1 matmul moves amplitudes exactly, so the result is
+    byte-identical to the real part of the gate-by-gate circuit of
+    tests/oracle.py, which runs on a complex copy of src (up to the one
+    exception _hadamard_layers states).
 
     Returns (result, the other buffer). Both H^n ping-pong between two
     buffers and end in whichever one the parity of n gives; see
@@ -275,23 +238,35 @@ def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(dim / marked_count))
 
 
-def default_max_iterations(n_qubits: int, marked_count: int) -> int:
-    """Window wide enough to expose the success-probability peak: 2*opt + 2."""
-    return 2 * n_optimal_standard(n_qubits, marked_count) + 2
-
-
 @dataclass
 class GroverConfig:
     n_qubits: int
-    marked: MarkedSet | None = None  # None -> {2**n - 1}, the all-ones index
+    # Any iterable of basis indices, stored as a sorted tuple of distinct
+    # ints; None -> (2**n - 1,), the all-ones index.
+    marked: tuple[int, ...] | None = None
     schedule: Schedule = field(default_factory=Schedule)
-    max_iterations: int | None = None  # None -> default_max_iterations
+    max_iterations: int | None = None  # None -> 2 * n_optimal_standard + 2, past the peak
 
     def __post_init__(self):
         self.n_qubits = check_register_size(self.n_qubits)
+        dim = 1 << self.n_qubits
         if self.marked is None:
-            self.marked = MarkedSet(frozenset({(1 << self.n_qubits) - 1}))
-        self.marked.validate_for(self.n_qubits)
+            self.marked = (dim - 1,)
+        try:
+            marked = sorted({_integer(i, "basis index") for i in self.marked})
+        except TypeError:
+            raise ValueError(
+                f"marked must be an iterable of basis indices, got {self.marked!r}"
+            ) from None
+        if not marked:
+            raise ValueError("marked set must be nonempty")
+        if marked[0] < 0:
+            raise ValueError("marked indices must be nonnegative")
+        if marked[-1] >= dim:
+            raise ValueError(f"marked index {marked[-1]} out of range for {self.n_qubits} qubits")
+        if len(marked) >= dim:
+            raise ValueError("marked set must leave at least one unmarked state")
+        self.marked = tuple(marked)
         if self.schedule.kind is not ScheduleKind.STANDARD and self.n_qubits < 2:
             raise ValueError("modified schedules need at least 2 qubits")
         if self.schedule.rotation_target is not None and not (
@@ -302,7 +277,7 @@ class GroverConfig:
                 f"for {self.n_qubits} qubits"
             )
         if self.max_iterations is None:
-            self.max_iterations = default_max_iterations(self.n_qubits, self.marked.count)
+            self.max_iterations = 2 * n_optimal_standard(self.n_qubits, len(self.marked)) + 2
         self.max_iterations = _integer(self.max_iterations, "max_iterations")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -330,14 +305,14 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     the oracle negates the marked amplitudes in place, and _diffuse works
     in the register and the other buffer. The records are byte-identical
     to those of re-simulating each iteration with the oracle, diffusion
-    and readout of tests/oracle.py on a complex register. GroverConfig has
-    validated the marked indices; they are sorted once per run, so the
-    readout sums them in ascending order.
+    and readout of tests/oracle.py on a complex register. GroverConfig
+    stores the marked indices sorted, so the readout sums them in
+    ascending order.
     """
     n = config.n_qubits
     schedule = config.schedule
     target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
-    marked = np.array(sorted(config.marked.indices), dtype=np.int64)
+    marked = np.array(config.marked, dtype=np.int64)
     amps = uniform_superposition(n)
     spare = np.empty_like(amps)
     for i in range(1, config.max_iterations + 1):

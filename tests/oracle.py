@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from groversim import statevector
-from groversim.grover import GroverConfig, IterationRecord, MarkedSet
+from groversim.grover import GroverConfig, IterationRecord
 from groversim.statevector import SizeLimitError, _integer, check_register_size
 
 # dense_operator_of materializes 2**n x 2**n matrices; test-oracle scale only.
@@ -103,9 +103,9 @@ def phase_flip_indices(state: StateVector, indices: Iterable[int]) -> StateVecto
     return StateVector(state.n_qubits, out)
 
 
-def apply_oracle(state: StateVector, marked: MarkedSet) -> StateVector:
+def apply_oracle(state: StateVector, marked: Iterable[int]) -> StateVector:
     """Phase oracle: flip the sign of every marked amplitude."""
-    return phase_flip_indices(state, marked.indices)
+    return phase_flip_indices(state, marked)
 
 
 def target_probability(state: StateVector, indices: Iterable[int]) -> float:
@@ -247,6 +247,6 @@ def oracle_records(config: GroverConfig) -> list[IterationRecord]:
         state = apply_oracle(state, marked)
         theta, gate = schedule.step(n, i)
         state = modified_diffusion(state, gate, schedule.rotation_target)
-        probability = target_probability(state, marked.indices)
+        probability = target_probability(state, marked)
         records.append(IterationRecord(i, theta, probability, float(np.mean(state.amps.real))))
     return records

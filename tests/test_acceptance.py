@@ -14,7 +14,6 @@ from click.testing import CliRunner
 from groversim import (
     GroverConfig,
     HybridOrder,
-    MarkedSet,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
@@ -31,9 +30,8 @@ from groversim import (
     success_probability_standard,
     sweep_compare,
 )
-from groversim.analysis import simulated_amplitude_series
+from groversim.analysis import simulated_amplitude_series, standard_diffusion_mean
 from groversim.cli import main as cli_main
-from groversim.grover import standard_diffusion_mean
 from conftest import random_real_amps, random_state
 from oracle import (
     HADAMARD,
@@ -89,7 +87,7 @@ def test_criterion_1_standard_iteration_table_exact():
 
 
 def test_criterion_2_standard_probability_cross_check():
-    records = list(iterate_grover(GroverConfig(5, MarkedSet(frozenset({31})), max_iterations=3)))
+    records = list(iterate_grover(GroverConfig(5, {31}, max_iterations=3)))
     p3 = records[-1].target_probability
     closed_form = math.sin(7.0 * math.asin(1.0 / math.sqrt(32.0))) ** 2
     ok = abs(p3 - REFERENCE_STANDARD_P3) < 5e-3 and abs(p3 - closed_form) < 1e-9
@@ -142,7 +140,7 @@ def test_criterion_4_recurrence_table():
 
 
 def test_criterion_5_modified_headline_with_combination_report():
-    marked = MarkedSet(frozenset({31}))
+    marked = (31,)
     combos = []
     for order in HybridOrder:
         for target in range(5):
@@ -262,7 +260,7 @@ def test_criterion_7_property_bundle():
         failures.append("gate_zr_y(0) != Z")
 
     # zero-angle schedule reduces to the standard trace
-    marked = MarkedSet(frozenset({31}))
+    marked = (31,)
     standard = list(iterate_grover(GroverConfig(5, marked, max_iterations=8)))
     state = uniform_state(5)
     for record in standard:
@@ -276,8 +274,7 @@ def test_criterion_7_property_bundle():
     for n in range(2, 13):
         model = SuccessModel.for_search(n)
         limit = n_optimal_standard(n, 1)
-        marked = MarkedSet(frozenset({(1 << n) - 1}))
-        for record in iterate_grover(GroverConfig(n, marked, max_iterations=limit)):
+        for record in iterate_grover(GroverConfig(n, max_iterations=limit)):
             expected = success_probability_standard(record.iteration, model)
             if abs(record.target_probability - expected) >= 1e-9:
                 failures.append(f"sin^2 law gap at n={n}, i={record.iteration}")

@@ -8,7 +8,6 @@ from groversim import (
     ComparisonRow,
     GroverConfig,
     IterationRecord,
-    MarkedSet,
     Schedule,
     ScheduleKind,
     SizeLimitError,
@@ -95,6 +94,10 @@ class TestRecurrence:
         for n in (3.5, 3.0, np.float64(3.0)):
             with pytest.raises(ValueError, match="n_qubits must be an integer"):
                 recurrence_table(n, 3)
+            with pytest.raises(ValueError, match="n_qubits must be an integer"):
+                simulated_amplitude_series(n, 2)
+        with pytest.raises(ValueError, match="count must be an integer"):
+            simulated_amplitude_series(3, 2.5)
         assert recurrence_table(np.int64(3), 2) == recurrence_table(3, 2)
 
 
@@ -135,12 +138,33 @@ class TestSuccessModels:
         with pytest.raises(ValueError):
             SuccessModel(math.pi)
 
+    @pytest.mark.parametrize(
+        "n, marked_count, message",
+        [
+            (5.5, 1, "n_qubits must be an integer"),
+            (np.float64(5.0), 1, "n_qubits must be an integer"),
+            (5, 1.5, "marked_count must be an integer"),
+            (5, 0, r"marked count 0 must be in \[1, 2\*\*5\)"),
+            (5, 32, r"marked count 32 must be in \[1, 2\*\*5\)"),
+            (5, 40, r"marked count 40 must be in \[1, 2\*\*5\)"),
+        ],
+        ids=["n5.5", "n-float64", "count1.5", "count0", "count32", "count40"],
+    )
+    def test_for_search_validation(self, n, marked_count, message):
+        with pytest.raises(ValueError, match=message):
+            SuccessModel.for_search(n, marked_count)
+
+    @pytest.mark.parametrize("law", [success_probability_standard, success_probability_modified])
+    @pytest.mark.parametrize("iterations", [-1, 1.5, 2.5, np.float64(2.0)])
+    def test_iteration_validation(self, law, iterations):
+        with pytest.raises(ValueError, match="iterations must be"):
+            law(iterations, SuccessModel.for_search(5))
+
     def test_closed_form_matches_simulation(self):
         for n in range(2, 13):
             model = SuccessModel.for_search(n)
-            marked = MarkedSet(frozenset({(1 << n) - 1}))
             limit = n_optimal_standard(n, 1)
-            for record in iterate_grover(GroverConfig(n, marked, max_iterations=limit)):
+            for record in iterate_grover(GroverConfig(n, max_iterations=limit)):
                 expected = success_probability_standard(record.iteration, model)
                 assert abs(record.target_probability - expected) < 1e-9
 
@@ -229,9 +253,8 @@ class TestFirstIterationObjective:
         # Three angles, in both orders: the helper reuses its two buffers,
         # so no value may depend on the call before.
         exact = _first_iteration_probability(n)
-        marked = MarkedSet(frozenset({(1 << n) - 1}))
         records = [
-            next(iterate_grover(GroverConfig(n, marked, Schedule(kind), max_iterations=1)))
+            next(iterate_grover(GroverConfig(n, schedule=Schedule(kind), max_iterations=1)))
             for kind in (ScheduleKind.FIXED, ScheduleKind.ADAPTIVE, ScheduleKind.STANDARD)
         ]
         for order in (records, records[::-1]):
@@ -292,22 +315,19 @@ class TestFindPeak:
         assert find_peak_iteration(synthetic_records([0.3, 0.9, 0.2, 0.95])) == (2, 0.9)
 
     def test_standard_n5_peaks_at_four(self):
-        marked = MarkedSet(frozenset({31}))
-        it, p = find_peak_iteration(list(iterate_grover(GroverConfig(5, marked, max_iterations=10))))
+        it, p = find_peak_iteration(list(iterate_grover(GroverConfig(5, {31}, max_iterations=10))))
         assert it == 4
         assert p == pytest.approx(math.sin(9.0 * math.asin(1.0 / math.sqrt(32.0))) ** 2, abs=1e-9)
 
     def test_standard_n3_first_crest_inside_revival_window(self):
         # the 6-iteration window contains a higher revival at iteration 6;
         # the reported peak must still be the first crest at iteration 2
-        marked = MarkedSet(frozenset({7}))
-        it, _ = find_peak_iteration(list(iterate_grover(GroverConfig(3, marked, max_iterations=6))))
+        it, _ = find_peak_iteration(list(iterate_grover(GroverConfig(3, {7}, max_iterations=6))))
         assert it == 2
 
     def test_peak_matches_n_optimal_for_all_sizes(self):
         for n in range(2, 14):
-            marked = MarkedSet(frozenset({(1 << n) - 1}))
-            it, _ = find_peak_iteration(iterate_grover(GroverConfig(n, marked)))
+            it, _ = find_peak_iteration(iterate_grover(GroverConfig(n)))
             assert it == n_optimal_standard(n, 1)
 
     @pytest.mark.parametrize("records", [[], iter(())], ids=["list", "iterator"])
@@ -376,12 +396,9 @@ class TestSweepCompare:
         n_lo = 1 if schedule.kind is ScheduleKind.STANDARD else 2
         expected = []
         for n in range(n_lo, 11):
-            marked = MarkedSet(frozenset({(1 << n) - 1}))
-            std_iters, std_peak = find_peak_iteration(
-                list(iterate_grover(GroverConfig(n, marked)))
-            )
+            std_iters, std_peak = find_peak_iteration(list(iterate_grover(GroverConfig(n))))
             mod_iters, mod_peak = find_peak_iteration(
-                list(iterate_grover(GroverConfig(n, marked, schedule)))
+                list(iterate_grover(GroverConfig(n, schedule=schedule)))
             )
             ratio = mod_iters / std_iters
             expected.append(

@@ -434,7 +434,11 @@ class TestEmit:
         cli_module._emit(rows, meta, "json", target)
         assert target.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
-    @pytest.mark.parametrize("filename, args", REPRODUCE_JOBS, ids=[job[0] for job in REPRODUCE_JOBS])
+    # angle_table_large.csv runs the same command as angle_table.csv, through
+    # the same emit path, with an n = 13..20 search that takes seconds.
+    JSON_JOBS = [job for job in REPRODUCE_JOBS if job[0] != "angle_table_large.csv"]
+
+    @pytest.mark.parametrize("filename, args", JSON_JOBS, ids=[job[0] for job in JSON_JOBS])
     def test_reproduce_job_json_is_indent_2(self, cli, filename, args):
         out = cli(*args, "--format", "json").output
         assert out == json.dumps(json.loads(out), indent=2) + "\n"

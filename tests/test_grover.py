@@ -15,7 +15,6 @@ import pytest
 from groversim import (
     GroverConfig,
     HybridOrder,
-    MarkedSet,
     NormDriftError,
     RatioInterpretation,
     Schedule,
@@ -30,7 +29,7 @@ from groversim import (
     n_optimal_standard,
 )
 from groversim import grover
-from groversim.grover import default_max_iterations, standard_diffusion_mean
+from groversim.analysis import standard_diffusion_mean
 from groversim.statevector import uniform_superposition
 from conftest import SCHEDULES, diffuse, random_real_amps, random_state
 from oracle import (
@@ -45,7 +44,6 @@ from oracle import (
     uniform_state,
 )
 
-MARK_ALL_ONES = lambda n: MarkedSet(frozenset({(1 << n) - 1}))
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -136,19 +134,19 @@ def test_schedule_step(schedule, iteration, theta, constructor):
 
 class TestOracle:
     def test_uniform_n2(self):
-        state = apply_oracle(uniform_state(2), MarkedSet(frozenset({3})))
+        state = apply_oracle(uniform_state(2), {3})
         assert np.allclose(state.amps, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_involution_exact(self):
         state = random_state(4, np.random.default_rng(5))
-        marked = MarkedSet(frozenset({0, 3, 9}))
+        marked = {0, 3, 9}
         twice = apply_oracle(apply_oracle(state, marked), marked)
         assert np.array_equal(twice.amps, state.amps)
 
     def test_marked_complement_gives_same_probabilities(self):
         state = uniform_state(3)
-        most = apply_oracle(state, MarkedSet(frozenset(range(7))))
-        one = apply_oracle(state, MarkedSet(frozenset({7})))
+        most = apply_oracle(state, range(7))
+        one = apply_oracle(state, {7})
         assert np.allclose(np.abs(most.amps) ** 2, np.abs(one.amps) ** 2, atol=1e-15)
 
 
@@ -241,7 +239,7 @@ class TestDiffusion:
     def test_run_peak_memory_is_two_registers(self, schedule):
         # A whole run holds its register and one scratch buffer: the oracle
         # flips in place and each diffusion reuses both buffers.
-        config = GroverConfig(16, MARK_ALL_ONES(16), schedule, 4)
+        config = GroverConfig(16, None, schedule, 4)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -366,40 +364,40 @@ class TestNOptimal:
 
 class TestIterateGrover:
     def test_n2_standard_one_iteration_is_certain(self):
-        records = list(iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=1)))
+        records = list(iterate_grover(GroverConfig(2, max_iterations=1)))
         assert records[-1].target_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_n5_standard_matches_closed_form(self):
         theta0 = math.asin(1.0 / math.sqrt(32.0))
-        records = list(iterate_grover(GroverConfig(5, MARK_ALL_ONES(5), max_iterations=4)))
+        records = list(iterate_grover(GroverConfig(5, max_iterations=4)))
         p3 = records[2].target_probability
         p4 = records[3].target_probability
         assert p3 == pytest.approx(math.sin(7.0 * theta0) ** 2, abs=1e-9)
         assert p4 == pytest.approx(math.sin(9.0 * theta0) ** 2, abs=1e-9)
 
     def test_n5_hybrid_headline(self):
-        config = GroverConfig(5, MARK_ALL_ONES(5), Schedule(ScheduleKind.HYBRID), 3)
+        config = GroverConfig(5, (31,), Schedule(ScheduleKind.HYBRID), 3)
         p3 = list(iterate_grover(config))[-1].target_probability
         assert p3 >= 0.99
         assert p3 == pytest.approx(0.997461, abs=5e-3)
 
     def test_hybrid_order_knob_changes_result(self):
         literal = Schedule(ScheduleKind.HYBRID, hybrid_order=HybridOrder.RY_THEN_H)
-        records = list(iterate_grover(GroverConfig(5, MARK_ALL_ONES(5), literal, 3)))
+        records = list(iterate_grover(GroverConfig(5, (31,), literal, 3)))
         assert records[-1].target_probability < 0.9
 
     def test_fixed_schedule_with_zero_angle_reduces_to_standard(self):
         # n = 2 is the only size whose fixed angle is zero, so the reduction
         # must be exact there through the public run loop.
-        standard = list(iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), max_iterations=4)))
+        standard = list(iterate_grover(GroverConfig(2, max_iterations=4)))
         fixed = list(
-            iterate_grover(GroverConfig(2, MARK_ALL_ONES(2), Schedule(ScheduleKind.FIXED), 4))
+            iterate_grover(GroverConfig(2, (3,), Schedule(ScheduleKind.FIXED), 4))
         )
         for s, f in zip(standard, fixed):
             assert abs(s.target_probability - f.target_probability) < 1e-12
 
     def test_forced_zero_angle_reduces_to_standard_any_n(self):
-        marked = MARK_ALL_ONES(5)
+        marked = (31,)
         standard = list(iterate_grover(GroverConfig(5, marked, max_iterations=8)))
         state = uniform_state(5)
         for record in standard:
@@ -409,11 +407,11 @@ class TestIterateGrover:
             assert abs(p - record.target_probability) < 1e-12
 
     def test_default_iteration_window(self):
-        config = GroverConfig(6, MARK_ALL_ONES(6))
-        assert config.max_iterations == default_max_iterations(6, 1) == 2 * 6 + 2
+        config = GroverConfig(6)
+        assert config.max_iterations == 2 * n_optimal_standard(6, 1) + 2 == 2 * 6 + 2
 
     def test_trace_shape_and_bookkeeping(self):
-        config = GroverConfig(4, MARK_ALL_ONES(4), Schedule(ScheduleKind.FIXED), 5)
+        config = GroverConfig(4, (15,), Schedule(ScheduleKind.FIXED), 5)
         records = list(iterate_grover(config))
         assert len(records) == 5
         assert [r.iteration for r in records] == [1, 2, 3, 4, 5]
@@ -423,7 +421,7 @@ class TestIterateGrover:
 
     def test_adaptive_schedule_theta_progression(self):
         schedule = Schedule(ScheduleKind.ADAPTIVE, RatioInterpretation.ADDITIVE)
-        records = iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), schedule, 3))
+        records = iterate_grover(GroverConfig(4, (15,), schedule, 3))
         expected = [adaptive_phase(4, i) for i in (1, 2, 3)]
         assert [r.theta_used for r in records] == expected
 
@@ -437,12 +435,12 @@ class TestIterateGrover:
         # (2**t, 0), so the run's in-place oracle flips them.
         target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
         indices = {"all-ones": {(1 << n) - 1}, "1,5": {1, 5}, "pair": {0, 1 << target}}[marked]
-        config = GroverConfig(n, MarkedSet(frozenset(indices)), schedule)
+        config = GroverConfig(n, indices, schedule)
         assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     def test_stopping_early_yields_a_prefix(self, schedule):
-        config = GroverConfig(5, MarkedSet(frozenset({1, 5})), schedule)
+        config = GroverConfig(5, {1, 5}, schedule)
         records = list(iterate_grover(config))
         assert len(records) == config.max_iterations
         assert list(itertools.islice(iterate_grover(config), 3)) == records[:3]
@@ -468,7 +466,7 @@ class TestMarkedIndexSymmetry:
         t = n - 1 if schedule.rotation_target is None else schedule.rotation_target
 
         def curve(index):
-            return list(iterate_grover(GroverConfig(n, MarkedSet(frozenset({index})), schedule)))
+            return list(iterate_grover(GroverConfig(n, {index}, schedule)))
 
         representatives = {1: curve((1 << n) - 1), 0: curve(((1 << n) - 1) ^ (1 << t))}
         for index in indices:
@@ -497,7 +495,7 @@ class TestRegisterDtype:
         assert gate.dtype == np.float64
         out = diffuse(after_oracle(5), gate, target)
         assert out.dtype == np.float64
-        after = apply_oracle(uniform_state(5), MARK_ALL_ONES(5))
+        after = apply_oracle(uniform_state(5), (31,))
         reference = modified_diffusion(after, gate, target)
         assert out.tobytes() == np.ascontiguousarray(reference.amps.real).tobytes()
 
@@ -506,7 +504,7 @@ class TestRegisterDtype:
         itertools.product([2, 3, 5, 8], ScheduleKind, HybridOrder, RatioInterpretation),
     )
     def test_records_equal_complex_register_run_bytewise(self, n, kind, order, interpretation):
-        config = GroverConfig(n, MARK_ALL_ONES(n), Schedule(kind, interpretation, hybrid_order=order))
+        config = GroverConfig(n, schedule=Schedule(kind, interpretation, hybrid_order=order))
         assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
 
 
@@ -528,12 +526,12 @@ class TestNormDrift:
     def test_drift_raises(self, monkeypatch):
         calls = self.scale_diffusion(monkeypatch, 1.001)
         with pytest.raises(NormDriftError, match="norm drifted"):
-            list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3)))
+            list(iterate_grover(GroverConfig(4, max_iterations=3)))
         assert calls == [3]
 
     def test_drift_raises_from_the_generator(self, monkeypatch):
         calls = self.scale_diffusion(monkeypatch, 1.001)
-        records = iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=3))
+        records = iterate_grover(GroverConfig(4, max_iterations=3))
         with pytest.raises(NormDriftError, match="at iteration 1"):
             next(records)
         assert calls == [3]
@@ -541,7 +539,7 @@ class TestNormDrift:
     def test_drift_inside_tolerance_passes(self, monkeypatch):
         factor = math.sqrt(1.0 + 5e-11)
         calls = self.scale_diffusion(monkeypatch, factor)
-        records = list(iterate_grover(GroverConfig(4, MARK_ALL_ONES(4), max_iterations=1)))
+        records = list(iterate_grover(GroverConfig(4, max_iterations=1)))
         assert len(records) == 1
         assert calls == [3]
 
@@ -549,7 +547,7 @@ class TestNormDrift:
         script = textwrap.dedent(
             """
             import numpy as np
-            from groversim import GroverConfig, MarkedSet, NormDriftError, grover, iterate_grover
+            from groversim import GroverConfig, NormDriftError, grover, iterate_grover
             if __debug__:
                 raise SystemExit(2)  # not running under -O
             calls = []
@@ -560,7 +558,7 @@ class TestNormDrift:
 
             grover._diffuse = diffusion
             try:
-                list(iterate_grover(GroverConfig(3, MarkedSet(frozenset({7})), max_iterations=1)))
+                list(iterate_grover(GroverConfig(3, {7}, max_iterations=1)))
             except NormDriftError:
                 raise SystemExit(0 if len(calls) == 1 else 3)
             raise SystemExit(1)
@@ -576,59 +574,88 @@ class TestNormDrift:
 
 
 class TestConfigValidation:
-    def test_marked_out_of_range(self):
-        with pytest.raises(ValueError):
-            GroverConfig(3, MarkedSet(frozenset({8})))
+    @pytest.mark.parametrize("n, marked", [(3, {8}), (3, [7, 8]), (5, (32,))])
+    def test_marked_out_of_range(self, n, marked):
+        with pytest.raises(ValueError, match="out of range for"):
+            GroverConfig(n, marked)
 
-    def test_marked_cannot_cover_everything(self):
-        with pytest.raises(ValueError):
-            GroverConfig(1, MarkedSet(frozenset({0, 1})))
+    @pytest.mark.parametrize("n, marked", [(1, {0, 1}), (2, range(4)), (2, [3, 2, 1, 0, 3])])
+    def test_marked_cannot_cover_everything(self, n, marked):
+        with pytest.raises(ValueError, match="at least one unmarked state"):
+            GroverConfig(n, marked)
 
-    def test_empty_marked_set(self):
-        with pytest.raises(ValueError):
-            MarkedSet(frozenset())
+    @pytest.mark.parametrize("empty", [set(), frozenset(), [], (), range(0)])
+    def test_empty_marked_set(self, empty):
+        with pytest.raises(ValueError, match="must be nonempty"):
+            GroverConfig(3, empty)
 
     @pytest.mark.parametrize("bad", [1.5, np.float64(2.0), -0.5])
     def test_non_integer_marked_index_is_rejected(self, bad):
-        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
-            MarkedSet(frozenset({3, bad}))
+        with pytest.raises(ValueError, match=re.escape(f"basis index must be an integer, got {bad!r}")):
+            GroverConfig(3, {3, bad})
 
-    def test_numpy_integer_marked_index_is_accepted(self):
-        marked = MarkedSet(frozenset({np.int64(3), 5}))
-        assert marked.indices == {3, 5}
-        assert all(type(i) is int for i in marked.indices)
+    @pytest.mark.parametrize("marked", [{-1}, [3, -2], (np.int64(-8),)])
+    def test_negative_marked_index_is_rejected(self, marked):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            GroverConfig(3, marked)
+
+    @pytest.mark.parametrize("bad", [7, np.int64(7), 7.0])
+    def test_non_iterable_marked_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"iterable of basis indices, got {bad!r}")):
+            GroverConfig(3, bad)
+
+    @pytest.mark.parametrize(
+        "marked",
+        [[5, 3], (3, 5), {5, 3}, frozenset({3, 5}), [np.int64(5), np.int32(3)], np.array([5, 3]), [5, 3, 5, 3]],
+        ids=["list", "tuple", "set", "frozenset", "numpy-ints", "numpy-array", "duplicates"],
+    )
+    @pytest.mark.parametrize("kind", [ScheduleKind.STANDARD, ScheduleKind.HYBRID])
+    def test_marked_forms_give_one_sorted_tuple(self, marked, kind):
+        config = GroverConfig(3, marked, Schedule(kind))
+        assert config.marked == (3, 5)
+        assert all(type(i) is int for i in config.marked)
+        expected = GroverConfig(3, (3, 5), Schedule(kind))
+        assert record_bytes(iterate_grover(config)) == record_bytes(iterate_grover(expected))
+
+    def test_marked_is_copied_from_the_callers_list(self):
+        marked = [5, 3]
+        config = GroverConfig(3, marked)
+        marked.append(1)
+        marked[0] = 7
+        assert config.marked == (3, 5)
+        assert config.max_iterations == 2 * n_optimal_standard(3, 2) + 2
 
     @pytest.mark.parametrize("target", [3, 1.0])
     def test_rotation_target_out_of_range(self, target):
         with pytest.raises(ValueError):
-            GroverConfig(3, MARK_ALL_ONES(3), Schedule(rotation_target=target))
+            GroverConfig(3, schedule=Schedule(rotation_target=target))
 
     def test_modified_needs_two_qubits(self):
         with pytest.raises(ValueError):
-            GroverConfig(1, MarkedSet(frozenset({1})), Schedule(ScheduleKind.FIXED))
+            GroverConfig(1, {1}, Schedule(ScheduleKind.FIXED))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
-            GroverConfig(21, MarkedSet(frozenset({0})))
+            GroverConfig(21, {0})
 
     @pytest.mark.parametrize("n", [3.0, 3.5, np.float64(3.0)])
     def test_non_integer_size_is_rejected(self, n):
         with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer, got {n!r}")):
-            GroverConfig(n, MarkedSet(frozenset({7})))
+            GroverConfig(n, {7})
 
     def test_numpy_integer_size_is_accepted(self):
-        config = GroverConfig(np.int64(3), MarkedSet(frozenset({7})))
+        config = GroverConfig(np.int64(3), {7})
         assert config.max_iterations == 6
         assert type(config.n_qubits) is int
 
     @pytest.mark.parametrize("bad", [0, 2.5])
     def test_bad_max_iterations(self, bad):
         with pytest.raises(ValueError):
-            GroverConfig(3, MARK_ALL_ONES(3), max_iterations=bad)
+            GroverConfig(3, max_iterations=bad)
 
     @pytest.mark.parametrize("kind", list(ScheduleKind))
     def test_marked_defaults_to_all_ones_index(self, kind):
         config = GroverConfig(5, schedule=Schedule(kind))
-        assert config.marked == MARK_ALL_ONES(5)
-        explicit = GroverConfig(5, MARK_ALL_ONES(5), Schedule(kind))
+        assert config.marked == (31,)
+        explicit = GroverConfig(5, [31], Schedule(kind))
         assert list(iterate_grover(config)) == list(iterate_grover(explicit))

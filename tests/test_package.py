@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Package order: the statevector names, then grover's, then analysis's.
 PUBLIC_API = ["__version__", *"""
     HADAMARD MAX_QUBITS NormDriftError SizeLimitError
-    GroverConfig HybridOrder IterationRecord MarkedSet RatioInterpretation
+    GroverConfig HybridOrder IterationRecord RatioInterpretation
     Schedule ScheduleKind adaptive_phase fixed_phase gate_hr_y gate_r_y
     gate_ry_h gate_zr_y iterate_grover n_optimal_standard
     ComparisonRow SuccessModel SweepReport find_peak_iteration optimal_phase_search

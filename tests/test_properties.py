@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groversim import gate_hr_y, gate_r_y, gate_ry_h, gate_zr_y, statevector
-from groversim.grover import _hadamard_layers, standard_diffusion_mean
+from groversim.analysis import standard_diffusion_mean
+from groversim.grover import _hadamard_layers
 from conftest import diffuse, random_real_amps, random_state
 from oracle import (
     HADAMARD,
