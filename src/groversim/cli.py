@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -182,34 +183,86 @@ def _base_meta(command: str, schedule: Schedule | None = None) -> dict:
     return meta
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
+# Returns one CSV line, its fields quoted on the running Python's rules
+# (3.13 also quotes "\r"): writerow returns what its file's write, here
+# str, returns.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
-# Encodes one flat row with the C encoder (it is used only when indent is
-# None); the item separator carries the indentation that indent=2 gives a
-# row's items inside the document.
+def _csv_format(types: tuple) -> tuple[str, tuple[int, ...]]:
+    """The % template of a CSV line whose cells have these types, and the
+    positions of the cells that csv must write first (_csv_field).
+
+    A float (numpy.float64 included) takes 10 significant digits, an exact
+    int its digits, and None consumes its value and writes nothing. Every
+    other cell, bool and str included, is written as csv writes it; so is
+    a row's only cell, since csv writes a lone empty field as "".
+    """
+    fields = []
+    for t in types:
+        if issubclass(t, float):
+            fields.append("%.10g")
+        elif t is int:
+            fields.append("%d")
+        elif t is type(None) and len(types) > 1:
+            fields.append("%.0s")
+        else:
+            fields.append("%s")
+    return ",".join(fields) + "\n", tuple(i for i, f in enumerate(fields) if f == "%s")
+
+
+def _csv_field(value, alone: bool) -> str:
+    """value as csv writes it, as a row's only cell or among others."""
+    return _CSV_LINE((value,))[:-1] if alone else _CSV_LINE((value, None))[:-2]
+
+
+def _csv_lines(rows):
+    """Yield one CSV line per row, a tuple of cells: its _csv_format
+    template, built once per tuple of cell types, applied to its values."""
+    formats = {}
+    for values in rows:
+        # Built at its size through a list: tuple(map(...)) guesses a size and
+        # shrinks the tuple, which is slower and strands it on CPython's
+        # free list for tuples of the row's length, up to 2000 of them.
+        types = tuple(list(map(type, values)))
+        if types not in formats:
+            formats[types] = _csv_format(types)
+        template, quoted = formats[types]
+        if quoted:
+            alone = len(values) == 1
+            values = tuple(_csv_field(v, alone) if i in quoted else v for i, v in enumerate(values))
+        yield template % values
+
+
+# A chunk's rows are encoded in one call of the C encoder (it is used only
+# when indent is None); the item separator carries the indentation that
+# indent=2 gives a row's items inside the document.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+# Rows per write, in both formats. A chunk is a few KiB of text.
+_ROWS_PER_CHUNK = 128
 
 
 def _emit(rows, meta, fmt, out, csv_trailer=()):
     """Stream rows (non-empty flat dicts with one key order) as CSV or JSON.
 
-    `rows` is any iterable and is consumed once. The key order of the first
-    row gives the CSV columns; CSV with no rows is a usage error, since it
-    would have no header. JSON is the bytes of
+    `rows` is any iterable and is consumed once. The text is written
+    _ROWS_PER_CHUNK rows at a time, so it is never held whole. The key
+    order of the first row gives the CSV columns; CSV with no rows is a
+    usage error, since it would have no header. Each CSV row, then each
+    csv_trailer row, is one % template applied to its values
+    (_csv_lines); the bytes are those csv.writer(lineterminator="\n")
+    writes for the cells formatted as _csv_format says, since csv itself
+    writes every cell that it might quote. JSON is the bytes of
     `json.dumps({"meta": meta, "rows": rows}, indent=2)` plus a newline:
-    the head is that call on meta alone, and each row is one C-encoded
-    object set in the layout indent=2 gives it. The bytes agree because a
-    row's values are scalars, so the item separator falls only between a
-    row's own items, where indent=2 writes the same text, and both
-    encoders write strings and numbers with the same functions. The text
-    is written row by row and never held whole. An --out file that cannot
-    be opened is a usage error; a failed write is not.
+    the head is that call on meta alone, and each chunk of rows is one
+    C-encoded list whose row boundaries are then set in the layout that
+    indent=2 gives. The bytes agree because a row's values are scalars:
+    the item separator falls only between a row's own items, where
+    indent=2 writes the same text, or between two rows, the one place
+    "},<separator>{" occurs, as the encoder escapes every newline inside
+    a string; and both encoders write strings and numbers with the same
+    functions. An --out file that cannot be opened is a usage error; a
+    failed write is not.
     """
     rows = iter(rows)
     if fmt == "csv":
@@ -226,17 +279,16 @@ def _emit(rows, meta, fmt, out, csv_trailer=()):
             # Drop the head's closing "\n}"; the rows list closes the document.
             f.write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
             sep = "\n"
-            for row in rows:
-                f.write(sep + "    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }")
+            while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
+                text = _ROW_ENCODER.encode(chunk)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+                f.write(sep + "    {\n      " + text + "\n    }")
                 sep = ",\n"
             f.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
             return
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(first.keys())
-        for r in rows:
-            writer.writerow([_csv_cell(v) for v in r.values()])
-        for extra in csv_trailer:
-            writer.writerow([_csv_cell(v) for v in extra])
+        f.write(_CSV_LINE(first.keys()))
+        lines = _csv_lines(itertools.chain((tuple(r.values()) for r in rows), map(tuple, csv_trailer)))
+        while text := "".join(itertools.islice(lines, _ROWS_PER_CHUNK)):
+            f.write(text)
 
 
 def _initial_probability(config: GroverConfig) -> float:

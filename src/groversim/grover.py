@@ -238,7 +238,7 @@ def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
     return math.floor(math.pi / 4.0 * math.sqrt(dim / marked_count))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroverConfig:
     n_qubits: int
     # Any iterable of basis indices, stored as a sorted tuple of distinct
@@ -248,39 +248,39 @@ class GroverConfig:
     max_iterations: int | None = None  # None -> 2 * n_optimal_standard + 2, past the peak
 
     def __post_init__(self):
-        self.n_qubits = check_register_size(self.n_qubits)
-        dim = 1 << self.n_qubits
-        if self.marked is None:
-            self.marked = (dim - 1,)
+        # Frozen: the fields are validated here once and never reassigned.
+        n = check_register_size(self.n_qubits)
+        dim = 1 << n
+        given = (dim - 1,) if self.marked is None else self.marked
         try:
-            marked = sorted({_integer(i, "basis index") for i in self.marked})
+            marked = sorted({_integer(i, "basis index") for i in given})
         except TypeError:
-            raise ValueError(
-                f"marked must be an iterable of basis indices, got {self.marked!r}"
-            ) from None
+            raise ValueError(f"marked must be an iterable of basis indices, got {given!r}") from None
         if not marked:
             raise ValueError("marked set must be nonempty")
         if marked[0] < 0:
             raise ValueError("marked indices must be nonnegative")
         if marked[-1] >= dim:
-            raise ValueError(f"marked index {marked[-1]} out of range for {self.n_qubits} qubits")
+            raise ValueError(f"marked index {marked[-1]} out of range for {n} qubits")
         if len(marked) >= dim:
             raise ValueError("marked set must leave at least one unmarked state")
-        self.marked = tuple(marked)
-        if self.schedule.kind is not ScheduleKind.STANDARD and self.n_qubits < 2:
+        if self.schedule.kind is not ScheduleKind.STANDARD and n < 2:
             raise ValueError("modified schedules need at least 2 qubits")
         if self.schedule.rotation_target is not None and not (
-            0 <= _integer(self.schedule.rotation_target, "rotation_target") < self.n_qubits
+            0 <= _integer(self.schedule.rotation_target, "rotation_target") < n
         ):
             raise ValueError(
-                f"rotation target {self.schedule.rotation_target} out of range "
-                f"for {self.n_qubits} qubits"
+                f"rotation target {self.schedule.rotation_target} out of range for {n} qubits"
             )
-        if self.max_iterations is None:
-            self.max_iterations = 2 * n_optimal_standard(self.n_qubits, len(self.marked)) + 2
-        self.max_iterations = _integer(self.max_iterations, "max_iterations")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        iterations = self.max_iterations
+        if iterations is None:
+            iterations = 2 * n_optimal_standard(n, len(marked)) + 2
+        iterations = _integer(iterations, "max_iterations")
+        if iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {iterations}")
+        object.__setattr__(self, "n_qubits", n)
+        object.__setattr__(self, "marked", tuple(marked))
+        object.__setattr__(self, "max_iterations", iterations)
 
 
 @dataclass

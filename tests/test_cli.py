@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import importlib.util
 import itertools
 import json
@@ -8,8 +10,9 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_rows
@@ -371,6 +374,21 @@ class TestFormatsAndDeterminism:
             tracemalloc.stop()
         assert peak - start < target.stat().st_size // 8
 
+    def test_csv_text_is_never_held_whole(self, tmp_path):
+        rows = [{"iteration": i, "amplitude": i / 7} for i in range(20000)]
+        target = tmp_path / "rows.csv"
+        # The module's csv writer allocates its 128 KiB record buffer at its
+        # first line and keeps it; that fixed buffer is not the text.
+        cli_module._emit(rows[:1], {"command": "test"}, "csv", target)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            cli_module._emit(rows, {"command": "test"}, "csv", target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < target.stat().st_size // 8
+
     def test_version_flag(self, cli):
         result = cli("--version")
         assert result.exit_code == 0
@@ -411,6 +429,55 @@ json_meta = st.fixed_dictionaries(
 )
 
 
+# Cells of every kind a CSV row can hold, with the strings csv must quote
+# (csv quotes "\r" only from Python 3.13 on) and those a % template could
+# misread.
+csv_cells = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet=',"\r\n% a', max_size=4),
+    st.sampled_from(["", ",", '"', "\r", "\n", "a\rb", "%", "%s", "%d%%", " x "]),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """One or more flat rows sharing one key order, each cell drawn on its
+    own so a column's type can change from row to row, and trailer rows of
+    any length."""
+    keys = draw(st.lists(st.text(alphabet=',"\r\n% ab', max_size=3), min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(min_value=1, max_value=6))
+    rows = [{k: draw(csv_cells) for k in keys} for _ in range(count)]
+    trailer = draw(st.lists(st.lists(csv_cells, min_size=1, max_size=5), max_size=2))
+    return rows, trailer
+
+
+def reference_csv(rows, trailer) -> str:
+    """CSV as csv.writer writes it with each cell formatted on its own."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return f"{value:.10g}"
+        return str(value)
+
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    for row in rows:
+        writer.writerow([cell(v) for v in row.values()])
+    for extra in trailer:
+        writer.writerow([cell(v) for v in extra])
+    return buffer.getvalue()
+
+
 class CountingRows:
     """Iterable over rows that counts its passes and the rows it hands out."""
 
@@ -433,6 +500,28 @@ class TestEmit:
         target = tmp_path_factory.mktemp("emit") / "out.json"
         cli_module._emit(rows, meta, "json", target)
         assert target.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=csv_tables())
+    @example(table=([{"a": None}, {"a": ""}, {"a": "x"}], [[None], [""], [1.5]]))
+    @example(table=([{"i": 1, "ratio": 0.5}, {"i": 2, "ratio": None}], [["mean", "", 2.25]]))
+    @example(table=([{"x": "a\rb", "y": "%s"}, {"x": True, "y": np.float64("nan")}], []))
+    def test_csv_matches_csv_writer(self, tmp_path_factory, table):
+        rows, trailer = table
+        target = tmp_path_factory.mktemp("emit") / "out.csv"
+        cli_module._emit(rows, {}, "csv", target, csv_trailer=trailer)
+        with target.open(newline="") as f:
+            assert f.read() == reference_csv(rows, trailer)
+
+    CHUNK = cli_module._ROWS_PER_CHUNK
+
+    @pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_json_chunk_boundaries(self, tmp_path, count):
+        # Strings that look like the row boundary the chunk text is split at.
+        rows = [{"i": i, "x": i / 7, "s": ["},\n      {", "}, {", "\n"][i % 3], "none": None} for i in range(count)]
+        target = tmp_path / "rows.json"
+        cli_module._emit(rows, {"command": "test"}, "json", target)
+        assert target.read_text() == json.dumps({"meta": {"command": "test"}, "rows": rows}, indent=2) + "\n"
 
     # angle_table_large.csv runs the same command as angle_table.csv, through
     # the same emit path, with an n = 13..20 search that takes seconds.

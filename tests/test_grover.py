@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -659,3 +660,15 @@ class TestConfigValidation:
         assert config.marked == (31,)
         explicit = GroverConfig(5, [31], Schedule(kind))
         assert list(iterate_grover(config)) == list(iterate_grover(explicit))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n_qubits", 4), ("marked", (9,)), ("schedule", Schedule(ScheduleKind.HYBRID)), ("max_iterations", 2.5)],
+    )
+    def test_fields_cannot_be_reassigned(self, name, value):
+        # A reassigned field would skip __post_init__'s validation: marked
+        # (9,) on 3 qubits once raised a bare IndexError from the run loop.
+        config = GroverConfig(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        assert config == GroverConfig(3)
