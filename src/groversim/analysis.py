@@ -14,6 +14,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from statistics import fmean
+from typing import NamedTuple
 
 import numpy as np
 
@@ -236,9 +237,8 @@ def find_peak_iteration(records: Iterable[IterationRecord]) -> tuple[int, float]
     return crest.iteration, crest.target_probability
 
 
-@dataclass
-class ComparisonRow:
-    """One register size of a sweep; the fields are the `sweep` columns, in order."""
+class ComparisonRow(NamedTuple):
+    """One register size of a sweep; _fields are the `sweep` columns, in order."""
 
     n: int
     std_iters: int

@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import (
     MAX_RECURRENCE_QUBITS,
+    ComparisonRow,
     SuccessModel,
     optimal_phase_search,
     recurrence_table,
@@ -38,6 +39,7 @@ from .analysis import (
 from .grover import (
     GroverConfig,
     HybridOrder,
+    IterationRecord,
     RatioInterpretation,
     Schedule,
     ScheduleKind,
@@ -101,7 +103,7 @@ def _guarded(fn):
         except SizeLimitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_SIZE)
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
 
@@ -140,15 +142,7 @@ def _schedule_options(fn):
     )
     @functools.wraps(fn)
     def wrapper(schedule, eq10_interpretation, rotation_target, hybrid_order, **kwargs):
-        return fn(
-            schedule=Schedule(
-                kind=ScheduleKind(schedule),
-                interpretation=RatioInterpretation(eq10_interpretation),
-                rotation_target=rotation_target,
-                hybrid_order=HybridOrder(hybrid_order),
-            ),
-            **kwargs,
-        )
+        return fn(schedule=Schedule(schedule, eq10_interpretation, rotation_target, hybrid_order), **kwargs)
 
     return wrapper
 
@@ -242,34 +236,23 @@ _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 _ROWS_PER_CHUNK = 128
 
 
-def _emit(rows, meta, fmt, out, csv_trailer=()):
-    """Stream rows (non-empty flat dicts with one key order) as CSV or JSON.
+def _emit(columns, rows, meta, fmt, out, csv_trailer=()):
+    """Stream rows, tuples of scalars under `columns`, as CSV or JSON.
 
-    `rows` is any iterable and is consumed once. The text is written
-    _ROWS_PER_CHUNK rows at a time, so it is never held whole. The key
-    order of the first row gives the CSV columns; CSV with no rows is a
-    usage error, since it would have no header. Each CSV row, then each
-    csv_trailer row, is one % template applied to its values
-    (_csv_lines); the bytes are those csv.writer(lineterminator="\n")
-    writes for the cells formatted as _csv_format says, since csv itself
-    writes every cell that it might quote. JSON is the bytes of
-    `json.dumps({"meta": meta, "rows": rows}, indent=2)` plus a newline:
-    the head is that call on meta alone, and each chunk of rows is one
-    C-encoded list whose row boundaries are then set in the layout that
-    indent=2 gives. The bytes agree because a row's values are scalars:
-    the item separator falls only between a row's own items, where
-    indent=2 writes the same text, or between two rows, the one place
-    "},<separator>{" occurs, as the encoder escapes every newline inside
-    a string; and both encoders write strings and numbers with the same
+    `rows` is any iterable, consumed once and written _ROWS_PER_CHUNK rows
+    at a time, so the text is never held whole. CSV is the header, then
+    each row and csv_trailer row as _csv_lines writes it: the bytes of
+    csv.writer(lineterminator="\n") on the cells as _csv_format formats
+    them. JSON is the bytes of json.dumps({"meta": meta, "rows":
+    [dict(zip(columns, row)), ...]}, indent=2) plus a newline. Each chunk
+    of rows is one C-encoded list whose row boundaries are then laid out
+    as indent=2 lays them out: a row's values are scalars and the encoder
+    escapes every newline in a string, so "},<separator>{" occurs only
+    between two rows, and both encoders write scalars with the same
     functions. An --out file that cannot be opened is a usage error; a
     failed write is not.
     """
     rows = iter(rows)
-    if fmt == "csv":
-        first = next(rows, None)
-        if first is None:
-            raise ValueError("no rows to emit")
-        rows = itertools.chain([first], rows)
     try:
         dest = out.open("w") if out is not None else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -279,14 +262,14 @@ def _emit(rows, meta, fmt, out, csv_trailer=()):
             # Drop the head's closing "\n}"; the rows list closes the document.
             f.write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
             sep = "\n"
-            while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
+            while chunk := [dict(zip(columns, row)) for row in itertools.islice(rows, _ROWS_PER_CHUNK)]:
                 text = _ROW_ENCODER.encode(chunk)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
                 f.write(sep + "    {\n      " + text + "\n    }")
                 sep = ",\n"
             f.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
             return
-        f.write(_CSV_LINE(first.keys()))
-        lines = _csv_lines(itertools.chain((tuple(r.values()) for r in rows), map(tuple, csv_trailer)))
+        f.write(_CSV_LINE(columns))
+        lines = _csv_lines(itertools.chain(rows, csv_trailer))
         while text := "".join(itertools.islice(lines, _ROWS_PER_CHUNK)):
             f.write(text)
 
@@ -323,7 +306,7 @@ def main():
 def cmd_run(qubits, marked, iterations, schedule, fmt, out):
     """Simulate one search run and emit its per-iteration trace."""
     config = GroverConfig(qubits, marked, schedule, iterations)
-    rows = [vars(r) for r in iterate_grover(config)]
+    records = list(iterate_grover(config))
     notes = []
     if schedule.kind is not ScheduleKind.STANDARD and len(config.marked) > 1:
         notes.append(
@@ -338,7 +321,7 @@ def cmd_run(qubits, marked, iterations, schedule, fmt, out):
         initial_probability=_initial_probability(config),
         notes=notes,
     )
-    _emit(rows, meta, fmt, out)
+    _emit(IterationRecord._fields, records, meta, fmt, out)
 
 
 @main.command(name="sweep")
@@ -355,10 +338,12 @@ def cmd_sweep(qubit_range, schedule, fmt, out):
         average_improvement_pct=report.average_improvement_pct,
         average_improvement_pct_excl_2q=report.average_improvement_pct_excl_2q,
     )
-    # Each average sits under the improvement_pct column, the sixth of nine.
+    # Each average sits under the improvement_pct column; its other cells are blank.
     averages = ("average_improvement_pct", "average_improvement_pct_excl_2q")
-    trailer = [[name, "", "", "", "", meta[name], "", "", ""] for name in averages]
-    _emit([vars(r) for r in report.rows], meta, fmt, out, csv_trailer=trailer)
+    at = ComparisonRow._fields.index("improvement_pct")
+    blank = ("",) * len(ComparisonRow._fields)
+    trailer = [(name, *blank[1:at], meta[name], *blank[at + 1 :]) for name in averages]
+    _emit(ComparisonRow._fields, report.rows, meta, fmt, out, csv_trailer=trailer)
 
 
 @main.command(name="angles")
@@ -375,24 +360,17 @@ def cmd_angles(qubit_range, fmt, out):
     # The closed-form ceiling; from n = 55 on the angle rounds to pi/2 exactly.
     if hi > MAX_RECURRENCE_QUBITS:
         raise SizeLimitError(f"angles supports up to {MAX_RECURRENCE_QUBITS} qubits, got {hi}")
+    columns = ("n", "half_angle_tangent", "phase_closed_form", "phase_search", "abs_difference")
     rows = []
     for n in range(lo, hi + 1):
         closed = fixed_phase(n)
-        numerator = (1 << (n - 2)) - 1
         denominator = 1 << (n - 2)
         searched = optimal_phase_search(n) if n <= MAX_QUBITS else None
-        rows.append(
-            {
-                "n": n,
-                "half_angle_tangent": f"{numerator}/{denominator}",
-                "phase_closed_form": closed,
-                "phase_search": searched,
-                "abs_difference": abs(searched - closed) if searched is not None else None,
-            }
-        )
+        difference = abs(searched - closed) if searched is not None else None
+        rows.append((n, f"{denominator - 1}/{denominator}", closed, searched, difference))
     meta = _base_meta("angles")
     meta.update(qubits=f"{lo}..{hi}")
-    _emit(rows, meta, fmt, out)
+    _emit(columns, rows, meta, fmt, out)
 
 
 @main.command(name="recurrence")
@@ -413,20 +391,21 @@ def cmd_recurrence(qubits, iterations, fmt, out):
         if qubits <= RECURRENCE_SIM_MAX_QUBITS
         else None
     )
+    columns = ("iteration", "amplitude_recurrence", "amplitude_statevector", "ratio", "model_ratio")
     rows = (
-        {
-            "iteration": i,
-            "amplitude_recurrence": a,
-            "amplitude_statevector": simulated[i - 1] if simulated is not None else None,
-            "ratio": table[i] / a if i < len(table) and a != 0.0 else None,
+        (
+            i,
+            a,
+            simulated[i - 1] if simulated is not None else None,
+            table[i] / a if i < len(table) and a != 0.0 else None,
             # Int true division rounds the exact ratio correctly; no Fraction needed.
-            "model_ratio": (2 * i + 1) / (2 * i - 1),
-        }
+            (2 * i + 1) / (2 * i - 1),
+        )
         for i, a in enumerate(table, start=1)
     )
     meta = _base_meta("recurrence")
     meta.update(qubits=qubits, iterations=iterations)
-    _emit(rows, meta, fmt, out)
+    _emit(columns, rows, meta, fmt, out)
 
 
 @main.command(name="curve")
@@ -442,16 +421,17 @@ def cmd_curve(qubits, iterations, with_model, schedule, fmt, out):
     probabilities = [r.target_probability for r in iterate_grover(config)]
     probabilities.insert(0, _initial_probability(config))
     model = SuccessModel.for_search(qubits, len(config.marked))
-    rows = []
-    for i, p in enumerate(probabilities):
-        row = {"iteration": i, "probability": p}
-        if with_model:
-            row["model_standard"] = success_probability_standard(i, model)
-            row["model_modified"] = success_probability_modified(i, model)
-        rows.append(row)
+    columns = ("iteration", "probability")
+    rows = list(enumerate(probabilities))
+    if with_model:
+        columns += ("model_standard", "model_modified")
+        rows = [
+            (i, p, success_probability_standard(i, model), success_probability_modified(i, model))
+            for i, p in rows
+        ]
     meta = _base_meta("curve", schedule)
     meta.update(qubits=qubits, iterations=iterations, delta_theta=model.delta_theta)
-    _emit(rows, meta, fmt, out)
+    _emit(columns, rows, meta, fmt, out)
 
 
 if __name__ == "__main__":

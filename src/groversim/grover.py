@@ -24,6 +24,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +94,19 @@ class HybridOrder(Enum):
 
 @dataclass(frozen=True)
 class Schedule:
+    """A diffusion-phase schedule. kind, interpretation and hybrid_order
+    take their Enum's member or its value, the CLI token, and store the
+    member; anything else is a ValueError."""
+
     kind: ScheduleKind = ScheduleKind.STANDARD
     interpretation: RatioInterpretation = RatioInterpretation.ADDITIVE
     rotation_target: int | None = None  # None -> highest qubit (n - 1)
     hybrid_order: HybridOrder = HybridOrder.H_THEN_RY
+
+    def __post_init__(self):
+        object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        object.__setattr__(self, "interpretation", RatioInterpretation(self.interpretation))
+        object.__setattr__(self, "hybrid_order", HybridOrder(self.hybrid_order))
 
     def describe(self) -> str:
         label = self.kind.value
@@ -150,7 +160,9 @@ def adaptive_phase(
     ADDITIVE adds the dimensionless growth term directly to the base angle;
     MULTIPLICATIVE scales the base angle by it. As i grows the term tends
     to 2, so the limits are base + 2 and 2 * base respectively.
+    interpretation may also be its value, the CLI token.
     """
+    interpretation = RatioInterpretation(interpretation)
     if _integer(iteration, "iteration") < 1:
         raise ValueError(f"iteration index must be >= 1, got {iteration}")
     base = fixed_phase(n_qubits)
@@ -264,6 +276,8 @@ class GroverConfig:
             raise ValueError(f"marked index {marked[-1]} out of range for {n} qubits")
         if len(marked) >= dim:
             raise ValueError("marked set must leave at least one unmarked state")
+        if not isinstance(self.schedule, Schedule):
+            raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.schedule.kind is not ScheduleKind.STANDARD and n < 2:
             raise ValueError("modified schedules need at least 2 qubits")
         if self.schedule.rotation_target is not None and not (
@@ -283,9 +297,8 @@ class GroverConfig:
         object.__setattr__(self, "max_iterations", iterations)
 
 
-@dataclass
-class IterationRecord:
-    """State after one iteration; the fields are the `run` columns, in order."""
+class IterationRecord(NamedTuple):
+    """State after one iteration; _fields are the `run` columns, in order."""
 
     iteration: int
     theta_used: float

@@ -409,6 +409,9 @@ class TestSweepCompare:
             )
         assert sweep_compare(n_lo, 10, schedule).rows == expected
 
+    def test_schedule_token_equals_its_member(self):
+        assert sweep_compare(3, 4, Schedule(kind="hybrid-eq11-12")) == sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID))
+
     def test_simulates_only_up_to_one_past_each_crest(self, monkeypatch):
         # iterate_grover runs one _diffuse per iteration.
         calls = 0

@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_rows
-from groversim import grover
+from groversim import IterationRecord, grover
 from groversim import cli as cli_module
 
 THETA0_N5 = math.asin(1.0 / math.sqrt(32.0))
@@ -363,27 +364,29 @@ class TestFormatsAndDeterminism:
         assert target.read_bytes() == expected
 
     def test_json_text_is_never_held_whole(self, tmp_path):
-        rows = [{"iteration": i, "amplitude": i / 7} for i in range(20000)]
+        columns = ("iteration", "amplitude")
+        rows = [(i, i / 7) for i in range(20000)]
         target = tmp_path / "rows.json"
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            cli_module._emit(rows, {"command": "test"}, "json", target)
+            cli_module._emit(columns, rows, {"command": "test"}, "json", target)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - start < target.stat().st_size // 8
 
     def test_csv_text_is_never_held_whole(self, tmp_path):
-        rows = [{"iteration": i, "amplitude": i / 7} for i in range(20000)]
+        columns = ("iteration", "amplitude")
+        rows = [(i, i / 7) for i in range(20000)]
         target = tmp_path / "rows.csv"
         # The module's csv writer allocates its 128 KiB record buffer at its
         # first line and keeps it; that fixed buffer is not the text.
-        cli_module._emit(rows[:1], {"command": "test"}, "csv", target)
+        cli_module._emit(columns, rows[:1], {"command": "test"}, "csv", target)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            cli_module._emit(rows, {"command": "test"}, "csv", target)
+            cli_module._emit(columns, rows, {"command": "test"}, "csv", target)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -409,12 +412,27 @@ json_scalars = st.one_of(
 json_keys = st.one_of(st.text(max_size=8), st.sampled_from(['a"b', "k\\", "x\ny", "é"]))
 
 
+def draw_rows(draw, columns, cells, max_rows):
+    """Zero to max_rows rows of cells drawn one by one, each row a plain
+    tuple or a namedtuple over columns (renamed where a column is not an
+    identifier), as the commands emit both."""
+    named = collections.namedtuple("Row", columns, rename=True)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_rows))):
+        values = [draw(cells) for _ in columns]
+        rows.append(named._make(values) if draw(st.booleans()) else tuple(values))
+    return rows
+
+
 @st.composite
 def flat_rows(draw):
-    """Zero or more flat dicts sharing one key order."""
-    keys = draw(st.lists(json_keys, min_size=1, max_size=5, unique=True))
-    count = draw(st.integers(min_value=0, max_value=6))
-    return [{k: draw(json_scalars) for k in keys} for _ in range(count)]
+    """Column names and zero or more rows of JSON scalars under them."""
+    columns = tuple(draw(st.lists(json_keys, min_size=1, max_size=5, unique=True)))
+    return columns, draw_rows(draw, columns, json_scalars, 6)
+
+
+def json_rows(columns, rows) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
 
 
 json_meta = st.fixed_dictionaries(
@@ -448,17 +466,16 @@ csv_cells = st.one_of(
 
 @st.composite
 def csv_tables(draw):
-    """One or more flat rows sharing one key order, each cell drawn on its
+    """Column names, zero or more rows under them, each cell drawn on its
     own so a column's type can change from row to row, and trailer rows of
     any length."""
-    keys = draw(st.lists(st.text(alphabet=',"\r\n% ab', max_size=3), min_size=1, max_size=4, unique=True))
-    count = draw(st.integers(min_value=1, max_value=6))
-    rows = [{k: draw(csv_cells) for k in keys} for _ in range(count)]
-    trailer = draw(st.lists(st.lists(csv_cells, min_size=1, max_size=5), max_size=2))
-    return rows, trailer
+    columns = tuple(draw(st.lists(st.text(alphabet=',"\r\n% ab', max_size=3), min_size=1, max_size=4, unique=True)))
+    rows = draw_rows(draw, columns, csv_cells, 6)
+    trailer = draw(st.lists(st.lists(csv_cells, min_size=1, max_size=5).map(tuple), max_size=2))
+    return columns, rows, trailer
 
 
-def reference_csv(rows, trailer) -> str:
+def reference_csv(columns, rows, trailer) -> str:
     """CSV as csv.writer writes it with each cell formatted on its own."""
 
     def cell(value) -> str:
@@ -470,9 +487,9 @@ def reference_csv(rows, trailer) -> str:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(rows[0].keys())
+    writer.writerow(columns)
     for row in rows:
-        writer.writerow([cell(v) for v in row.values()])
+        writer.writerow([cell(v) for v in row])
     for extra in trailer:
         writer.writerow([cell(v) for v in extra])
     return buffer.getvalue()
@@ -495,33 +512,38 @@ class CountingRows:
 
 class TestEmit:
     @settings(max_examples=200, deadline=None)
-    @given(rows=flat_rows(), meta=json_meta)
-    def test_json_is_json_dumps_indent_2(self, tmp_path_factory, rows, meta):
+    @given(table=flat_rows(), meta=json_meta)
+    def test_json_is_json_dumps_indent_2(self, tmp_path_factory, table, meta):
+        columns, rows = table
         target = tmp_path_factory.mktemp("emit") / "out.json"
-        cli_module._emit(rows, meta, "json", target)
-        assert target.read_text() == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+        cli_module._emit(columns, rows, meta, "json", target)
+        assert target.read_text() == json.dumps({"meta": meta, "rows": json_rows(columns, rows)}, indent=2) + "\n"
 
     @settings(max_examples=200, deadline=None)
     @given(table=csv_tables())
-    @example(table=([{"a": None}, {"a": ""}, {"a": "x"}], [[None], [""], [1.5]]))
-    @example(table=([{"i": 1, "ratio": 0.5}, {"i": 2, "ratio": None}], [["mean", "", 2.25]]))
-    @example(table=([{"x": "a\rb", "y": "%s"}, {"x": True, "y": np.float64("nan")}], []))
+    @example(table=(("a",), [(None,), ("",), ("x",)], [(None,), ("",), (1.5,)]))
+    @example(table=(("i", "ratio"), [(1, 0.5), (2, None)], [("mean", "", 2.25)]))
+    @example(table=(("x", "y"), [("a\rb", "%s"), (True, np.float64("nan"))], []))
+    @example(table=(IterationRecord._fields, [IterationRecord(1, 0.0, 0.25, -0.0)], []))
+    @example(table=(("n", "ratio"), [], [("mean", 2.25)]))
     def test_csv_matches_csv_writer(self, tmp_path_factory, table):
-        rows, trailer = table
+        columns, rows, trailer = table
         target = tmp_path_factory.mktemp("emit") / "out.csv"
-        cli_module._emit(rows, {}, "csv", target, csv_trailer=trailer)
+        cli_module._emit(columns, rows, {}, "csv", target, csv_trailer=trailer)
         with target.open(newline="") as f:
-            assert f.read() == reference_csv(rows, trailer)
+            assert f.read() == reference_csv(columns, rows, trailer)
 
     CHUNK = cli_module._ROWS_PER_CHUNK
 
     @pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
     def test_json_chunk_boundaries(self, tmp_path, count):
         # Strings that look like the row boundary the chunk text is split at.
-        rows = [{"i": i, "x": i / 7, "s": ["},\n      {", "}, {", "\n"][i % 3], "none": None} for i in range(count)]
+        columns = ("i", "x", "s", "none")
+        rows = [(i, i / 7, ["},\n      {", "}, {", "\n"][i % 3], None) for i in range(count)]
         target = tmp_path / "rows.json"
-        cli_module._emit(rows, {"command": "test"}, "json", target)
-        assert target.read_text() == json.dumps({"meta": {"command": "test"}, "rows": rows}, indent=2) + "\n"
+        cli_module._emit(columns, rows, {"command": "test"}, "json", target)
+        expected = {"meta": {"command": "test"}, "rows": json_rows(columns, rows)}
+        assert target.read_text() == json.dumps(expected, indent=2) + "\n"
 
     # angle_table_large.csv runs the same command as angle_table.csv, through
     # the same emit path, with an n = 13..20 search that takes seconds.
@@ -532,28 +554,28 @@ class TestEmit:
         out = cli(*args, "--format", "json").output
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    @pytest.mark.parametrize("fmt, exit_code", [("csv", 2), ("json", 0)])
-    def test_command_with_no_rows(self, cli, monkeypatch, tmp_path, fmt, exit_code):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_command_with_no_rows(self, cli, monkeypatch, tmp_path, fmt):
         monkeypatch.setattr(cli_module, "recurrence_table", lambda *_args: [])
         out = tmp_path / "rows"
         result = cli("recurrence", "--qubits", 20, "--iterations", 3, "--format", fmt, "--out", out)
-        assert result.exit_code == exit_code, result.output
+        assert result.exit_code == 0, result.output
         if fmt == "csv":
-            assert result.output == "error: no rows to emit\n"
-            assert not out.exists()
+            assert out.read_text() == "iteration,amplitude_recurrence,amplitude_statevector,ratio,model_ratio\n"
         else:
             assert out.read_text().endswith(',\n  "rows": []\n}\n')
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_are_consumed_once(self, tmp_path, fmt):
-        rows = [{"i": i, "x": i / 3} for i in range(5)]
+        columns = ("i", "x")
+        rows = [(i, i / 3) for i in range(5)]
         counted = CountingRows(rows)
-        cli_module._emit(counted, {}, fmt, tmp_path / "counted")
+        cli_module._emit(columns, counted, {}, fmt, tmp_path / "counted")
         assert (counted.passes, counted.served) == (1, len(rows))
         generator = (row for row in rows)
-        cli_module._emit(generator, {}, fmt, tmp_path / "generated")
+        cli_module._emit(columns, generator, {}, fmt, tmp_path / "generated")
         assert next(generator, None) is None
-        cli_module._emit(rows, {}, fmt, tmp_path / "listed")
+        cli_module._emit(columns, rows, {}, fmt, tmp_path / "listed")
         expected = (tmp_path / "listed").read_bytes()
         assert (tmp_path / "counted").read_bytes() == expected
         assert (tmp_path / "generated").read_bytes() == expected
@@ -654,6 +676,15 @@ class TestExitCodes:
             assert result.exit_code == 2
             assert re.fullmatch(r"error: statevector norm drifted to \S+ at iteration 3\n", result.output)
         assert not out.exists()
+
+    def test_programming_error_is_not_usage_error(self, cli, monkeypatch):
+        def out_of_bounds(*_args):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(cli_module, "recurrence_table", out_of_bounds)
+        result = cli("recurrence", "--qubits", 5, "--iterations", 3)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, IndexError)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     def test_failed_write_is_not_usage_error(self, cli):

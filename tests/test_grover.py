@@ -104,6 +104,15 @@ class TestAdaptivePhase:
         with pytest.raises(ValueError):
             adaptive_phase(n, iteration)
 
+    @pytest.mark.parametrize("member", list(RatioInterpretation))
+    def test_interpretation_token_is_its_member(self, member):
+        assert adaptive_phase(6, 2, member.value) == adaptive_phase(6, 2, member)
+
+    @pytest.mark.parametrize("bad", ["nonsense", None, ScheduleKind.ADAPTIVE])
+    def test_rejects_bad_interpretation(self, bad):
+        with pytest.raises(ValueError):
+            adaptive_phase(6, 2, bad)
+
 
 @pytest.mark.parametrize(
     "schedule, iteration, theta, constructor",
@@ -131,6 +140,41 @@ def test_schedule_step(schedule, iteration, theta, constructor):
     got_theta, gate = schedule.step(5, iteration)
     assert got_theta == theta
     assert gate.tobytes() == constructor(theta).tobytes()
+
+
+# Each member of Schedule's three enums, with the kind under which its field
+# changes the run.
+SCHEDULE_MEMBERS = [
+    *[("kind", member, None) for member in ScheduleKind],
+    *[("interpretation", member, ScheduleKind.ADAPTIVE) for member in RatioInterpretation],
+    *[("hybrid_order", member, ScheduleKind.HYBRID) for member in HybridOrder],
+]
+
+
+class TestScheduleTokens:
+    @pytest.mark.parametrize("field, member, kind", SCHEDULE_MEMBERS, ids=[m.value for _, m, _ in SCHEDULE_MEMBERS])
+    def test_token_runs_as_its_member(self, field, member, kind):
+        token = Schedule(**{"kind": kind, field: member.value})
+        literal = Schedule(**{"kind": kind, field: member})
+        assert getattr(token, field) is member
+        assert token == literal
+        assert record_bytes(iterate_grover(GroverConfig(5, schedule=token))) == record_bytes(
+            iterate_grover(GroverConfig(5, schedule=literal))
+        )
+
+    @pytest.mark.parametrize("field", ["kind", "interpretation", "hybrid_order"])
+    @pytest.mark.parametrize("bad", ["nonsense", "STANDARD", "", None, 1])
+    def test_bad_token_is_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            Schedule(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "field, member",
+        [("kind", HybridOrder.H_THEN_RY), ("interpretation", ScheduleKind.ADAPTIVE), ("hybrid_order", ScheduleKind.HYBRID)],
+    )
+    def test_another_enums_member_is_rejected(self, field, member):
+        with pytest.raises(ValueError):
+            Schedule(**{field: member})
 
 
 class TestOracle:
@@ -630,6 +674,11 @@ class TestConfigValidation:
     def test_rotation_target_out_of_range(self, target):
         with pytest.raises(ValueError):
             GroverConfig(3, schedule=Schedule(rotation_target=target))
+
+    @pytest.mark.parametrize("bad", [None, "hybrid-eq11-12", ScheduleKind.HYBRID])
+    def test_schedule_must_be_a_schedule(self, bad):
+        with pytest.raises(ValueError, match="schedule must be a Schedule"):
+            GroverConfig(3, schedule=bad)
 
     def test_modified_needs_two_qubits(self):
         with pytest.raises(ValueError):
