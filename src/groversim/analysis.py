@@ -4,8 +4,10 @@ The recurrence and the success models are independent routes to numbers
 the simulator also produces: a two-amplitude recurrence for standard
 search with one marked state and closed-form sin^2 success models. The
 derivative-free search for the best first-iteration rotation angle runs
-the simulator's own diffusion kernel on the angles a closed form leaves,
-and the sweep compares standard and modified iteration counts.
+the simulator's own diffusion arithmetic on the angles a closed form
+leaves: it opens the register with H^n once per size, and each angle only
+rotates the pair and closes the marked amplitude's cone of the second
+H^n. The sweep compares standard and modified iteration counts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from .grover import (
     GroverConfig,
     IterationRecord,
     Schedule,
-    _diffuse,
+    _hadamard_last_entry,
+    _hadamard_layers,
+    _rotate_pair,
     gate_zr_y,
     iterate_grover,
 )
@@ -151,14 +155,16 @@ def optimal_phase_search(n_qubits: int) -> float:
     Every value the search compares is f's.
 
     eps = _SCREEN_BOUND = 1e-12 has a wide margin. In exact arithmetic g is
-    f at the same float angle. With u = 2**-53, each H layer entry, fused
-    (fma(h1, x1, h0*x0)) or not, with h rounded too, is off by at most
-    3u(|h0 x0| + |h1 x1|), which adds at most 3*sqrt(2)u < 4.3u to the
-    error of the unit register. The pair rotation and the rounded start
-    1/sqrt(N) are one such step each, so the marked amplitude is off by at
-    most (2n + 2) * 4.3u and f by twice that: 2.5e-14 at n = 12, 4.0e-14 at
-    n = 20. g's terms are at most 2 in size, its sine and cosine within a
-    few ulps, and 2|f1|/N <= 1, so g is off by about 20u = 2.2e-15.
+    f at the same float angle. f's probes round each step as the run
+    loop's diffusion does, so the diffusion's error bound is theirs. With
+    u = 2**-53, each H layer entry, fused (fma(h1, x1, h0*x0)) or not,
+    with h rounded too, is off by at most 3u(|h0 x0| + |h1 x1|), which
+    adds at most 3*sqrt(2)u < 4.3u to the error of the unit register. The
+    pair rotation and the rounded start 1/sqrt(N) are one such step each,
+    so the marked amplitude is off by at most (2n + 2) * 4.3u and f by
+    twice that: 2.5e-14 at n = 12, 4.0e-14 at n = 20. g's terms are at
+    most 2 in size, its sine and cosine within a few ulps, and
+    2|f1|/N <= 1, so g is off by about 20u = 2.2e-15.
     """
     n_qubits = check_register_size(n_qubits)
     if n_qubits < 2:
@@ -177,14 +183,24 @@ def _first_iteration_probability(n_qubits: int):
     """f(theta) -> marked probability after the oracle and _diffuse with
     gate_zr_y(theta) on qubit n - 1, from the uniform state with index
     2**n - 1 marked, read out as the run loop reads it.
+
+    The opening H^n does not depend on theta, so it runs once, here; a
+    probe writes _rotate_pair of its saved pair entries into the opened
+    register and closes only the marked entry's cone (_hadamard_last_entry).
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
     marked = np.array([after_oracle.size - 1])
+    half = after_oracle.size >> 1
     first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
-    return lambda theta: _probability(
-        _diffuse(after_oracle, first, second, gate_zr_y(theta), n_qubits - 1)[0], marked
-    )
+    opened, spare = _hadamard_layers(after_oracle, first, second)
+    a0, a1 = opened[half], opened[0]
+
+    def f(theta: float) -> float:
+        opened[half], opened[0] = _rotate_pair(gate_zr_y(theta), a0, a1)
+        return _probability(_hadamard_last_entry(opened, spare, after_oracle), marked)
+
+    return f
 
 
 def _first_iteration_closed_form(n_qubits: int, thetas: np.ndarray) -> np.ndarray:

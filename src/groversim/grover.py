@@ -185,6 +185,8 @@ def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray,
     tests/oracle.py, which runs on a complex copy of src (up to the one
     exception _hadamard_layers states).
 
+    The pair update is _rotate_pair, which the angle search shares.
+
     Returns (result, the other buffer). Both H^n ping-pong between two
     buffers and end in whichever one the parity of n gives; see
     _hadamard_layers. spare may be src, whose content is dead once the
@@ -192,11 +194,15 @@ def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray,
     holds two buffers in all.
     """
     amps, spare = _hadamard_layers(src, out, spare)
-    # Operand order as in the controlled-gate kernel of tests/oracle.py.
-    a0, a1 = amps[1 << target], amps[0]
-    amps[1 << target] = m[0, 0] * a0 + m[0, 1] * a1
-    amps[0] = m[1, 0] * a0 + m[1, 1] * a1
+    amps[1 << target], amps[0] = _rotate_pair(m, amps[1 << target], amps[0])
     return _hadamard_layers(amps, spare, amps)
+
+
+def _rotate_pair(m: np.ndarray, a0, a1) -> tuple:
+    """m applied to the amplitude pair (a0, a1): the entries for indices
+    2**target and 0 between the diffusion's two H^n."""
+    # Operand order as in the controlled-gate kernel of tests/oracle.py.
+    return m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1
 
 
 def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
@@ -238,6 +244,34 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
         np.matmul(h, out.reshape(half, 2).T, out=spare.reshape(2, half))
         out, spare = spare, out
     return out, spare
+
+
+def _hadamard_last_entry(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Entry N - 1 of _hadamard_layers(src, out, spare)'s result, byte for
+    byte, in the buffer it returns (out or spare, by the parity of n); the
+    other entries are scratch, and src is only read.
+
+    Each layer moves the lowest index bit to the top, so the m = N >> (q+1)
+    entries layer q must deliver are row 1 of the full kernel's matmul on
+    its last 2m inputs; row 0 is scratch that no later layer reads. Layer 0
+    computes only its top half, with the full kernel's products, sum and
+    + 0.0, using half of spare as its temporary. m never drops below 2, so
+    every layer stays a gemm, not numpy's matrix-vector route.
+    """
+    h = HADAMARD
+    size = src.size
+    half = size >> 1
+    x0, x1 = src[0::2], src[1::2]
+    y1, tmp = out[half:], spare[:half]
+    np.multiply(h[1, 1], x1, out=y1)
+    np.multiply(h[1, 0], x0, out=tmp)
+    y1 += tmp
+    y1 += 0.0
+    for q in range(1, size.bit_length() - 1):
+        m = max(2, size >> (q + 1))
+        np.matmul(h, out[size - 2 * m:].reshape(m, 2).T, out=spare[size - 2 * m:].reshape(2, m))
+        out, spare = spare, out
+    return out
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,10 +249,10 @@ class TestFirstIterationObjective:
         thetas = [-math.pi, -1.0, 0.0, fixed_phase(12), 3.0]
         assert [exact(t) for t in thetas] == [full(t) for t in thetas]
 
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_equals_run_loop_first_iteration(self, n):
-        # Three angles, in both orders: the helper reuses its two buffers,
-        # so no value may depend on the call before.
+        # Three angles, in both orders: the helper reuses its buffers and
+        # rewrites the opened pair, so no value may depend on the call before.
         exact = _first_iteration_probability(n)
         records = [
             next(iterate_grover(GroverConfig(n, schedule=Schedule(kind), max_iterations=1)))
@@ -260,7 +261,7 @@ class TestFirstIterationObjective:
         for order in (records, records[::-1]):
             assert [exact(r.theta_used) for r in order] == [r.target_probability for r in order]
 
-    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_closed_form_within_screen_bound_on_sampled_grid(self, n):
         # A sample of the grid, and every grid point within 20 of the
         # screen's best; the search's docstring bounds the rest.
@@ -282,7 +283,7 @@ class TestFirstIterationObjective:
         k = int(values.argmax())
         assert self.GRID[k - 1] <= optimal_phase_search(n) <= self.GRID[k + 1]
 
-    @pytest.mark.parametrize("n", range(2, 18))
+    @pytest.mark.parametrize("n", range(2, 21))
     def test_search_evaluates_one_candidate_and_the_refinement(self, n, monkeypatch):
         # The screen leaves one grid point per n up to 17 (two from 18 on),
         # so the search calls the kernel there and at each golden-section
@@ -295,12 +296,35 @@ class TestFirstIterationObjective:
 
         monkeypatch.setattr(analysis, "_first_iteration_probability", counted)
         optimal_phase_search(n)
+        screen = _first_iteration_closed_form(n, self.GRID)
+        candidates = self.GRID[screen >= screen.max() - 2.0 * _SCREEN_BOUND].tolist()
         k = int(np.abs(self.GRID - fixed_phase(n)).argmin())
         lo, hi = float(self.GRID[k - 1]), float(self.GRID[k + 1])
         probes = []
         _golden_section_max(lambda t: probes.append(t) or 0.0, lo, hi, SEARCH_REFINE_TOL)
+        assert len(candidates) == (1 if n <= 17 else 2)
         assert calls[0] == self.GRID[k]
-        assert len(calls) == 1 + len(probes) < 40
+        assert calls[: len(candidates)] == candidates
+        assert len(calls) == len(candidates) + len(probes) < 40
+
+    def test_probe_allocates_no_register(self):
+        # The search holds three registers, all allocated with the
+        # objective; a probe allocates nothing register-sized, which would
+        # show at n = 16 as 256 KiB or more.
+        register = 8 << 16
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            exact = _first_iteration_probability(16)
+            _, setup_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            exact(fixed_phase(16))
+            _, probe_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert setup_peak - start <= 3 * register + 64 * 1024
+        assert probe_peak - before <= 64 * 1024
 
 
 class TestFindPeak:

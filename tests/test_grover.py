@@ -351,7 +351,8 @@ class TestHadamardLayers:
     def test_signed_zeros_bytewise(self, n, parts):
         # Every state whose amplitudes come from `parts`: exact zeros reach
         # the output, and their signs must match too (at n = 2 up to the
-        # exception assert_real_part_bytes documents).
+        # exception assert_real_part_bytes documents). The angle search's
+        # close gives the full kernel's entry N - 1, signed zeros included.
         first, second = np.empty(1 << n), np.empty(1 << n)
         for combo in itertools.product(parts, repeat=1 << n):
             amps = np.array(combo)
@@ -361,6 +362,30 @@ class TestHadamardLayers:
             src = amps.copy()
             result, _ = grover._hadamard_layers(src, first, src)
             assert_real_part_bytes(result, expected)
+            last = grover._hadamard_last_entry(amps, np.empty_like(amps), np.empty_like(amps))
+            assert last[-1:].tobytes() == result[-1:].tobytes()
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            *itertools.product(
+                ["real", "wide-range", "flipped-uniform", "signed-zero-basis"], range(1, 17)
+            ),
+            *itertools.product(["real", "wide-range"], range(17, 21)),
+        ],
+    )
+    def test_last_entry_equals_full_kernel_bytewise(self, family, n):
+        # The angle search closes only entry N - 1's cone of the closing
+        # H^n. Its buffers start as NaN, so if entry N - 1 depended on any
+        # entry the cone leaves unwritten, it would be NaN.
+        amps = layer_test_amps(family, n, np.random.default_rng(n))
+        before = amps.copy()
+        expected, _ = grover._hadamard_layers(amps, np.empty_like(amps), np.empty_like(amps))
+        first, second = np.full_like(amps, np.nan), np.full_like(amps, np.nan)
+        result = grover._hadamard_last_entry(amps, first, second)
+        assert result is (first if n % 2 else second)
+        assert result[-1:].tobytes() == expected[-1:].tobytes()
+        assert amps.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("family, n", itertools.product(["real", "wide-range"], [5, 12]))
     def test_dgemm_layer_is_fused_multiply_add(self, family, n):

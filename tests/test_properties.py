@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groversim import gate_hr_y, gate_r_y, gate_ry_h, gate_zr_y, statevector
 from groversim.analysis import standard_diffusion_mean
-from groversim.grover import _hadamard_layers
+from groversim.grover import _hadamard_last_entry, _hadamard_layers
 from conftest import diffuse, random_real_amps, random_state
 from oracle import (
     HADAMARD,
@@ -156,6 +156,26 @@ def test_float64_kernel_is_real_part_of_complex128_kernel_bytewise(n, signed_zer
         x = np.where(rng.random(x.shape) < 0.7, rng.choice([0.0, -0.0], size=x.shape), x)
     result, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
     assert_real_part_bytes(result, apply_sequence(StateVector(n, x), layer(HADAMARD, n)))
+
+
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["real", "signed-zeros", "wide-range"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_last_entry_equals_full_kernel_bytewise(n, family, seed):
+    # The angle search's close computes only entry N - 1 of H^n; that entry
+    # is the full kernel's, byte for byte, on any register.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=1 << n)
+    if family == "signed-zeros":
+        x = np.where(rng.random(x.shape) < 0.7, rng.choice([0.0, -0.0], size=x.shape), x)
+    elif family == "wide-range":
+        x *= np.exp2(rng.integers(-1100, 64, size=x.shape).astype(float))
+    expected, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
+    result = _hadamard_last_entry(x, np.empty_like(x), np.empty_like(x))
+    assert result[-1:].tobytes() == expected[-1:].tobytes()
 
 
 @given(angles)
