@@ -96,7 +96,8 @@ class HybridOrder(Enum):
 class Schedule:
     """A diffusion-phase schedule. kind, interpretation and hybrid_order
     take their Enum's member or its value, the CLI token, and store the
-    member; anything else is a ValueError."""
+    member; rotation_target takes any integer and stores an int, so every
+    Schedule hashes. Anything else is a ValueError."""
 
     kind: ScheduleKind = ScheduleKind.STANDARD
     interpretation: RatioInterpretation = RatioInterpretation.ADDITIVE
@@ -107,6 +108,8 @@ class Schedule:
         object.__setattr__(self, "kind", ScheduleKind(self.kind))
         object.__setattr__(self, "interpretation", RatioInterpretation(self.interpretation))
         object.__setattr__(self, "hybrid_order", HybridOrder(self.hybrid_order))
+        if self.rotation_target is not None:
+            object.__setattr__(self, "rotation_target", _integer(self.rotation_target, "rotation_target"))
 
     def describe(self) -> str:
         label = self.kind.value
@@ -314,9 +317,7 @@ class GroverConfig:
             raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
         if self.schedule.kind is not ScheduleKind.STANDARD and n < 2:
             raise ValueError("modified schedules need at least 2 qubits")
-        if self.schedule.rotation_target is not None and not (
-            0 <= _integer(self.schedule.rotation_target, "rotation_target") < n
-        ):
+        if self.schedule.rotation_target is not None and not 0 <= self.schedule.rotation_target < n:
             raise ValueError(
                 f"rotation target {self.schedule.rotation_target} out of range for {n} qubits"
             )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, grover
+from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, analysis, grover
 from groversim.cli import main as cli_main
 from oracle import StateVector
 
@@ -39,6 +39,13 @@ def diffuse(amps: np.ndarray, gate: np.ndarray, target: int | None = None) -> np
     target = n - 1 if target is None else target
     result, _ = grover._diffuse(amps, np.empty_like(amps), np.empty_like(amps), gate, target)
     return result
+
+
+@pytest.fixture(autouse=True)
+def cold_crests():
+    """Each test starts without memoized sweep crests, so none it makes
+    under a patched kernel can reach a later test."""
+    analysis._crest.cache_clear()
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from groversim import (
     success_probability_standard,
     sweep_compare,
 )
+from groversim import analysis
 from groversim.analysis import simulated_amplitude_series, standard_diffusion_mean
 from groversim.cli import main as cli_main
 from conftest import random_real_amps, random_state
@@ -306,7 +307,11 @@ def test_criterion_8_byte_identical_reruns():
     ]
     stable = True
     for command in commands:
+        # Each run starts with no memoized sweep crests, so a rerun
+        # recomputes its crests instead of reading the first run's.
+        analysis._crest.cache_clear()
         first = _cli(*command).encode()
+        analysis._crest.cache_clear()
         second = _cli(*command).encode()
         if first != second:
             stable = False

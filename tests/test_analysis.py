@@ -9,6 +9,7 @@ from groversim import (
     ComparisonRow,
     GroverConfig,
     IterationRecord,
+    NormDriftError,
     Schedule,
     ScheduleKind,
     SizeLimitError,
@@ -436,8 +437,16 @@ class TestSweepCompare:
     def test_schedule_token_equals_its_member(self):
         assert sweep_compare(3, 4, Schedule(kind="hybrid-eq11-12")) == sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID))
 
+    @pytest.mark.parametrize("target", [np.int64(1), np.array(1)], ids=["int64", "0-d-array"])
+    def test_numpy_rotation_target_sweeps_as_its_int(self, target):
+        schedule = Schedule(ScheduleKind.HYBRID, rotation_target=target)
+        assert type(schedule.rotation_target) is int
+        assert sweep_compare(3, 4, schedule) == sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID, rotation_target=1))
+
     def test_simulates_only_up_to_one_past_each_crest(self, monkeypatch):
-        # iterate_grover runs one _diffuse per iteration.
+        # iterate_grover runs one _diffuse per iteration; a cold memo makes
+        # the sweep run both schedules.
+        analysis._crest.cache_clear()
         calls = 0
         real = grover._diffuse
 
@@ -450,3 +459,67 @@ class TestSweepCompare:
         row = sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows[0]
         assert (row.std_iters, row.mod_iters) == (71, 50)
         assert calls == 72 + 51
+
+    @staticmethod
+    def count_diffusions(monkeypatch) -> list:
+        """Count grover._diffuse calls, one per iteration of a run; returns
+        the one-item list that holds the count."""
+        calls = [0]
+        real = grover._diffuse
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(grover, "_diffuse", counted)
+        return calls
+
+    def test_repeat_sweeps_reuse_crests(self, monkeypatch):
+        calls = self.count_diffusions(monkeypatch)
+        cold = sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows
+        assert calls[0] == 72 + 51
+
+        calls[0] = 0
+        assert sweep_compare(13, 13, Schedule(ScheduleKind.HYBRID)).rows == cold
+        assert calls[0] == 0
+
+        # Only the adaptive run is new; the standard crest is reused.
+        adaptive = sweep_compare(13, 13, Schedule(ScheduleKind.ADAPTIVE)).rows[0]
+        assert calls[0] == adaptive.mod_iters + 1
+
+        # An explicit rotation target is its own config, not the default's.
+        calls[0] = 0
+        schedule = Schedule(ScheduleKind.HYBRID, rotation_target=0)
+        row = sweep_compare(13, 13, schedule).rows[0]
+        assert calls[0] == row.mod_iters + 1
+        full_window = find_peak_iteration(list(iterate_grover(GroverConfig(13, schedule=schedule))))
+        assert (row.mod_iters, row.mod_peak_prob) == full_window
+        assert (row.mod_iters, row.mod_peak_prob) != (cold[0].mod_iters, cold[0].mod_peak_prob)
+
+        # Both runs of a standard-schedule sweep are one config.
+        analysis._crest.cache_clear()
+        calls[0] = 0
+        sweep_compare(13, 13, Schedule())
+        assert calls[0] == 72
+
+    def test_failed_run_is_not_memoized(self, monkeypatch):
+        cold = sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID)).rows
+        analysis._crest.cache_clear()
+        real = grover._diffuse
+        standard_gate = gate_zr_y(0.0)
+
+        def drifting(src, out, spare, m, target):
+            # The standard run is exact; every modified run drifts at once.
+            amps, spare = real(src, out, spare, m, target)
+            if not np.array_equal(m, standard_gate):
+                amps *= 1.001
+            return amps, spare
+
+        monkeypatch.setattr(grover, "_diffuse", drifting)
+        with pytest.raises(NormDriftError):
+            sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID))
+        monkeypatch.undo()
+
+        calls = self.count_diffusions(monkeypatch)
+        assert sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID)).rows == cold
+        assert calls[0] == cold[0].mod_iters + 1

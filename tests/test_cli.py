@@ -177,6 +177,18 @@ class TestSweepCommand:
         _, rows = csv_rows(result.output)
         assert rows[0]["n"] == "3"
 
+    def test_sweeps_in_one_process_match_committed_results(self, cli, tmp_path):
+        # reproduce_results.py runs its sweeps in one process, each after
+        # the ones before it have memoized their crests. The per-job
+        # test_full_table_matches_committed_results runs each sweep cold.
+        sweeps = [(name, args) for name, args in REPRODUCE_JOBS if args[0] == "sweep"]
+        assert len(sweeps) == 4
+        for filename, args in sweeps:
+            out = tmp_path / filename
+            result = cli(*args, "--out", out)
+            assert result.exit_code == 0, result.output
+            assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes(), filename
+
 
 class TestAnglesCommand:
     def test_small_range_values(self, cli):
