@@ -8,9 +8,9 @@ the simulator's own diffusion arithmetic on the angles a closed form
 leaves: it opens the register with H^n once per size, and each angle only
 rotates the pair and closes the marked amplitude's cone of the second
 H^n. The sweep compares standard and modified iteration counts; it
-memoizes each run's crest on its GroverConfig, which is exact because a
-run is a pure function of its frozen config, so the sweeps one process
-runs share their standard runs.
+memoizes each run's crest on its config, which is exact because a run is
+a pure function of its frozen config, so the sweeps one process runs
+share every run they repeat.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .grover import (
     GroverConfig,
     IterationRecord,
     Schedule,
-    _hadamard_last_entry,
+    ScheduleKind,
     _hadamard_layers,
     _rotate_pair,
     gate_zr_y,
@@ -190,19 +190,19 @@ def _first_iteration_probability(n_qubits: int):
 
     The opening H^n does not depend on theta, so it runs once, here; a
     probe writes _rotate_pair of its saved pair entries into the opened
-    register and closes only the marked entry's cone (_hadamard_last_entry).
+    register and closes only the marked entry's cone (_hadamard_layers
+    with last_entry).
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
     marked = np.array([after_oracle.size - 1])
     half = after_oracle.size >> 1
-    first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
-    opened, spare = _hadamard_layers(after_oracle, first, second)
+    opened, spare = _hadamard_layers(after_oracle, np.empty_like(after_oracle), np.empty_like(after_oracle))
     a0, a1 = opened[half], opened[0]
 
     def f(theta: float) -> float:
         opened[half], opened[0] = _rotate_pair(gate_zr_y(theta), a0, a1)
-        return _probability(_hadamard_last_entry(opened, spare, after_oracle), marked)
+        return _probability(_hadamard_layers(opened, spare, after_oracle, last_entry=True)[0], marked)
 
     return f
 
@@ -290,8 +290,9 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
 
     The crests come from _crest, memoized per GroverConfig: a run is a
     pure function of its frozen config, so a crest found earlier in the
-    process is the one this run would find. The standard runs are shared
-    by every sweep, and a standard-schedule sweep runs each n once.
+    process is the one this run would find. Its schedule is the
+    _effective_schedule, so runs that differ only in what they ignore,
+    standard sweeps' two runs among them, are one.
     """
     check_register_size(n_lo)
     check_register_size(n_hi)
@@ -299,8 +300,8 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
         raise ValueError(f"empty qubit range {n_lo}..{n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        std_iters, std_peak = _crest(GroverConfig(n))
-        mod_iters, mod_peak = _crest(GroverConfig(n, schedule=schedule))
+        std_iters, std_peak = _crest(GroverConfig(n, schedule=_effective_schedule(Schedule(), n)))
+        mod_iters, mod_peak = _crest(GroverConfig(n, schedule=_effective_schedule(schedule, n)))
         ratio = mod_iters / std_iters
         rows.append(
             ComparisonRow(
@@ -320,10 +321,22 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     return SweepReport(rows, average, fmean(tail) if tail else None)
 
 
+def _effective_schedule(schedule: Schedule, n_qubits: int) -> Schedule:
+    """schedule as an n-qubit run reads it: the fields its kind ignores
+    (Schedule.step) at their defaults, rotation_target None as n - 1."""
+    kind, default = schedule.kind, Schedule()
+    return Schedule(
+        kind,
+        (schedule if kind is ScheduleKind.ADAPTIVE else default).interpretation,
+        n_qubits - 1 if schedule.rotation_target is None else schedule.rotation_target,
+        (schedule if kind is ScheduleKind.HYBRID else default).hybrid_order,
+    )
+
+
 # Unbounded, since its keys are few: sweep configs differ only in n <= 20
-# and the Schedule, with the default marked set and window. An entry holds
-# about 340 B, and all 2,755 such configs about 0.9 MiB; the sweeps of
-# results/ leave 48. A run that raises (NormDriftError) leaves no entry.
+# and the effective Schedule, with the default marked set and window. An
+# entry holds about 340 B, and all 1,255 such configs about 0.4 MiB; the
+# sweeps of results/ leave 48. A run that raises leaves no entry.
 @cache
 def _crest(config: GroverConfig) -> tuple[int, float]:
     """find_peak_iteration of config's run, memoized on the config."""

@@ -208,7 +208,11 @@ def _rotate_pair(m: np.ndarray, a0, a1) -> tuple:
     return m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1
 
 
-def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tuple:
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # HADAMARD == HADAMARD[0, 0] * _SIGNS exactly
+_SIGNS.flags.writeable = False
+
+
+def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray, *, last_entry: bool = False) -> tuple:
     """H^n of src. Returns (result, the other buffer).
 
     The result is byte-identical to the real part of tests/oracle.py's
@@ -224,57 +228,38 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> tup
     dimension 2, so H acts on both halves in one gemm, with no copy. After
     n layers the layout is natural again. The per-qubit kernel's layer q
     is 2**(n-1-q) products (2,2)@(2,2**q); for q >= 1 one (2,2)@(2,N/2)
-    product computes every output entry with the same arithmetic, and for
-    q = 0, where numpy takes the matrix-vector route, the elementwise
-    h[i,0]*x0 + h[i,1]*x1 + 0.0 does, signed zeros included. Layer 0
-    writes out, using half of spare as its temporary or, if spare is src,
-    src's own dead x0; the later layers alternate between the two buffers.
+    product computes every output entry with the same arithmetic. For
+    q = 0 numpy takes the matrix-vector route, whose entries are
+    fl(fl(h*x0) +- fl(h*x1)), h = HADAMARD[0, 0], and never -0.0 (gemv
+    adds its sums to a zeroed y). Layer 0 scales src by h in one pass into
+    spare, or into src if spare is src (its content is then dead; else src
+    is only read), applies _SIGNS to the scaled pairs in one gemm into out
+    and adds 0.0: products by +-1 are exact, so any BLAS rounds each entry
+    once, FMA or not. The later layers alternate between out and spare.
     The three buffers are float64, C-contiguous and (N,).
+
+    With last_entry, only entry N - 1 of the result is computed, byte for
+    byte; the rest is scratch. Each layer moves the lowest index bit to
+    the top, so the m = N >> (q+1) entries layer q must deliver are row 1
+    of its product on its last 2m inputs: layer 0 subtracts the scaled
+    pairs, and m never drops below 2, so the later layers stay gemms.
     """
-    h = HADAMARD
-    half = out.size >> 1
-    x0, x1 = src[0::2], src[1::2]
-    y0, y1 = out[:half], out[half:]
-    tmp = x0 if spare is src else spare[:half]
-    np.multiply(h[0, 0], x0, out=y0)
-    np.multiply(h[0, 1], x1, out=y1)
-    y0 += y1
-    np.multiply(h[1, 1], x1, out=y1)
-    np.multiply(h[1, 0], x0, out=tmp)
-    y1 += tmp
-    out += 0.0  # gemv adds its sums to a zeroed y: no -0.0 survives
-    for _ in range(1, src.size.bit_length() - 1):
-        np.matmul(h, out.reshape(half, 2).T, out=spare.reshape(2, half))
-        out, spare = spare, out
-    return out, spare
-
-
-def _hadamard_last_entry(src: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """Entry N - 1 of _hadamard_layers(src, out, spare)'s result, byte for
-    byte, in the buffer it returns (out or spare, by the parity of n); the
-    other entries are scratch, and src is only read.
-
-    Each layer moves the lowest index bit to the top, so the m = N >> (q+1)
-    entries layer q must deliver are row 1 of the full kernel's matmul on
-    its last 2m inputs; row 0 is scratch that no later layer reads. Layer 0
-    computes only its top half, with the full kernel's products, sum and
-    + 0.0, using half of spare as its temporary. m never drops below 2, so
-    every layer stays a gemm, not numpy's matrix-vector route.
-    """
-    h = HADAMARD
     size = src.size
     half = size >> 1
-    x0, x1 = src[0::2], src[1::2]
-    y1, tmp = out[half:], spare[:half]
-    np.multiply(h[1, 1], x1, out=y1)
-    np.multiply(h[1, 0], x0, out=tmp)
-    y1 += tmp
-    y1 += 0.0
+    scaled = src if spare is src else spare
+    np.multiply(HADAMARD[0, 0], src, out=scaled)
+    y = out[half:] if last_entry else out
+    if last_entry:
+        np.subtract(scaled[0::2], scaled[1::2], out=y)
+    else:
+        np.matmul(_SIGNS, scaled.reshape(half, 2).T, out=out.reshape(2, half))
+    y += 0.0
     for q in range(1, size.bit_length() - 1):
-        m = max(2, size >> (q + 1))
-        np.matmul(h, out[size - 2 * m:].reshape(m, 2).T, out=spare[size - 2 * m:].reshape(2, m))
+        m = max(2, size >> (q + 1)) if last_entry else half
+        x, y = (out[-2 * m :], spare[-2 * m :]) if last_entry else (out, spare)
+        np.matmul(HADAMARD, x.reshape(m, 2).T, out=y.reshape(2, m))
         out, spare = spare, out
-    return out
+    return out, spare
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:

@@ -8,8 +8,10 @@ import pytest
 from groversim import (
     ComparisonRow,
     GroverConfig,
+    HybridOrder,
     IterationRecord,
     NormDriftError,
+    RatioInterpretation,
     Schedule,
     ScheduleKind,
     SizeLimitError,
@@ -501,6 +503,32 @@ class TestSweepCompare:
         calls[0] = 0
         sweep_compare(13, 13, Schedule())
         assert calls[0] == 72
+
+    @pytest.mark.parametrize(
+        "given, same",
+        [
+            (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, RatioInterpretation.MULTIPLICATIVE)),
+            (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, rotation_target=12)),
+            (Schedule(ScheduleKind.ADAPTIVE), Schedule(ScheduleKind.ADAPTIVE, hybrid_order=HybridOrder.RY_THEN_H)),
+            (
+                Schedule(ScheduleKind.FIXED),
+                Schedule(ScheduleKind.FIXED, RatioInterpretation.MULTIPLICATIVE, 12, HybridOrder.RY_THEN_H),
+            ),
+        ],
+        ids=lambda schedule: schedule.describe(),
+    )
+    def test_fields_the_run_ignores_share_its_crest(self, monkeypatch, given, same):
+        # A schedule's kind reads interpretation or hybrid_order only if it
+        # is adaptive or hybrid, and rotation_target None is n - 1: same
+        # makes the runs given makes, so its sweep simulates nothing.
+        calls = self.count_diffusions(monkeypatch)
+        first = sweep_compare(13, 13, given).rows
+        calls[0] = 0
+        warm = sweep_compare(13, 13, same).rows
+        assert calls[0] == 0
+        assert warm == [row._replace(schedule_used=same.describe()) for row in first]
+        analysis._crest.cache_clear()
+        assert sweep_compare(13, 13, same).rows == warm
 
     def test_failed_run_is_not_memoized(self, monkeypatch):
         cold = sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID)).rows

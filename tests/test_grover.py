@@ -362,7 +362,7 @@ class TestHadamardLayers:
             src = amps.copy()
             result, _ = grover._hadamard_layers(src, first, src)
             assert_real_part_bytes(result, expected)
-            last = grover._hadamard_last_entry(amps, np.empty_like(amps), np.empty_like(amps))
+            last, _ = grover._hadamard_layers(amps, np.empty_like(amps), np.empty_like(amps), last_entry=True)
             assert last[-1:].tobytes() == result[-1:].tobytes()
 
     @pytest.mark.parametrize(
@@ -382,10 +382,32 @@ class TestHadamardLayers:
         before = amps.copy()
         expected, _ = grover._hadamard_layers(amps, np.empty_like(amps), np.empty_like(amps))
         first, second = np.full_like(amps, np.nan), np.full_like(amps, np.nan)
-        result = grover._hadamard_last_entry(amps, first, second)
-        assert result is (first if n % 2 else second)
+        result, spare = grover._hadamard_layers(amps, first, second, last_entry=True)
+        assert result is (first if n % 2 else second) and spare is (second if n % 2 else first)
         assert result[-1:].tobytes() == expected[-1:].tobytes()
         assert amps.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("family, n", itertools.product(["real", "wide-range"], [5, 12, 20]))
+    def test_sign_layer_rounds_once_without_fma(self, family, n):
+        # Layer 0 of _hadamard_layers scales x by h, then its gemm multiplies
+        # the scaled pairs (p0, p1) by +-1 only, which is exact: each output
+        # is p0 + p1 or p0 - p1 rounded once, with or without FMA, so layer 0
+        # rests on no BLAS kernel's rounding. math.fsum rounds the exact sum
+        # once, as float(Fraction(p0) +- Fraction(p1)) does; both are taken
+        # below n = 20, where Fraction would take seconds.
+        half = 1 << (n - 1)
+        x = layer_test_amps(family, n, np.random.default_rng(n))
+        p = grover.HADAMARD[0, 0] * x
+        y = np.empty(2 * half)
+        np.matmul(grover._SIGNS, p.reshape(half, 2).T, out=y.reshape(2, half))
+        p0, p1 = p[0::2].tolist(), p[1::2].tolist()
+        expected = [math.fsum((a, sign * b)) for sign in (1.0, -1.0) for a, b in zip(p0, p1)]
+        if n < 20:
+            assert expected == [
+                float(Fraction(a) + sign * Fraction(b)) for sign in (1, -1) for a, b in zip(p0, p1)
+            ]
+        wrong = int((y != np.array(expected)).sum())
+        assert not wrong, f"{wrong} of {2 * half} layer-0 outputs are not p0 +- p1 rounded once"
 
     @pytest.mark.parametrize("family, n", itertools.product(["real", "wide-range"], [5, 12]))
     def test_dgemm_layer_is_fused_multiply_add(self, family, n):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groversim import gate_hr_y, gate_r_y, gate_ry_h, gate_zr_y, statevector
 from groversim.analysis import standard_diffusion_mean
-from groversim.grover import _hadamard_last_entry, _hadamard_layers
+from groversim.grover import _hadamard_layers
 from conftest import diffuse, random_real_amps, random_state
 from oracle import (
     HADAMARD,
@@ -174,7 +174,7 @@ def test_last_entry_equals_full_kernel_bytewise(n, family, seed):
     elif family == "wide-range":
         x *= np.exp2(rng.integers(-1100, 64, size=x.shape).astype(float))
     expected, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
-    result = _hadamard_last_entry(x, np.empty_like(x), np.empty_like(x))
+    result, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x), last_entry=True)
     assert result[-1:].tobytes() == expected[-1:].tobytes()
 
 
