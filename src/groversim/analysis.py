@@ -28,7 +28,6 @@ from .grover import (
     GroverConfig,
     IterationRecord,
     Schedule,
-    ScheduleKind,
     _hadamard_layers,
     _rotate_pair,
     gate_zr_y,
@@ -290,9 +289,9 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
 
     The crests come from _crest, memoized per GroverConfig: a run is a
     pure function of its frozen config, so a crest found earlier in the
-    process is the one this run would find. Its schedule is the
-    _effective_schedule, so runs that differ only in what they ignore,
-    standard sweeps' two runs among them, are one.
+    process is the one this run would find. GroverConfig stores the
+    schedule its run reads, so runs that differ only in what they ignore,
+    standard sweeps' two runs among them, are one config.
     """
     check_register_size(n_lo)
     check_register_size(n_hi)
@@ -300,8 +299,8 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
         raise ValueError(f"empty qubit range {n_lo}..{n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        std_iters, std_peak = _crest(GroverConfig(n, schedule=_effective_schedule(Schedule(), n)))
-        mod_iters, mod_peak = _crest(GroverConfig(n, schedule=_effective_schedule(schedule, n)))
+        std_iters, std_peak = _crest(GroverConfig(n))
+        mod_iters, mod_peak = _crest(GroverConfig(n, schedule=schedule))
         ratio = mod_iters / std_iters
         rows.append(
             ComparisonRow(
@@ -321,20 +320,8 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     return SweepReport(rows, average, fmean(tail) if tail else None)
 
 
-def _effective_schedule(schedule: Schedule, n_qubits: int) -> Schedule:
-    """schedule as an n-qubit run reads it: the fields its kind ignores
-    (Schedule.step) at their defaults, rotation_target None as n - 1."""
-    kind, default = schedule.kind, Schedule()
-    return Schedule(
-        kind,
-        (schedule if kind is ScheduleKind.ADAPTIVE else default).interpretation,
-        n_qubits - 1 if schedule.rotation_target is None else schedule.rotation_target,
-        (schedule if kind is ScheduleKind.HYBRID else default).hybrid_order,
-    )
-
-
 # Unbounded, since its keys are few: sweep configs differ only in n <= 20
-# and the effective Schedule, with the default marked set and window. An
+# and the Schedule the run reads, with the default marked set and window. An
 # entry holds about 340 B, and all 1,255 such configs about 0.4 MiB; the
 # sweeps of results/ leave 48. A run that raises leaves no entry.
 @cache

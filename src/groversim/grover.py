@@ -274,12 +274,18 @@ def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
 
 @dataclass(frozen=True)
 class GroverConfig:
+    """One search run, checked once against its register and stored as the
+    run reads it. marked takes any iterable of basis indices and stores a
+    sorted tuple of distinct ints; None is the all-ones index 2**n - 1.
+    schedule is stored as Schedule.step reads it: rotation_target None is
+    n - 1, interpretation is reset unless the kind is adaptive and
+    hybrid_order unless it is hybrid, so equal runs have equal configs.
+    max_iterations None is 2 * n_optimal_standard + 2, past the peak."""
+
     n_qubits: int
-    # Any iterable of basis indices, stored as a sorted tuple of distinct
-    # ints; None -> (2**n - 1,), the all-ones index.
     marked: tuple[int, ...] | None = None
     schedule: Schedule = field(default_factory=Schedule)
-    max_iterations: int | None = None  # None -> 2 * n_optimal_standard + 2, past the peak
+    max_iterations: int | None = None
 
     def __post_init__(self):
         # Frozen: the fields are validated here once and never reassigned.
@@ -298,14 +304,20 @@ class GroverConfig:
             raise ValueError(f"marked index {marked[-1]} out of range for {n} qubits")
         if len(marked) >= dim:
             raise ValueError("marked set must leave at least one unmarked state")
-        if not isinstance(self.schedule, Schedule):
-            raise ValueError(f"schedule must be a Schedule, got {self.schedule!r}")
-        if self.schedule.kind is not ScheduleKind.STANDARD and n < 2:
+        schedule, default = self.schedule, Schedule()
+        if not isinstance(schedule, Schedule):
+            raise ValueError(f"schedule must be a Schedule, got {schedule!r}")
+        if schedule.kind is not ScheduleKind.STANDARD and n < 2:
             raise ValueError("modified schedules need at least 2 qubits")
-        if self.schedule.rotation_target is not None and not 0 <= self.schedule.rotation_target < n:
-            raise ValueError(
-                f"rotation target {self.schedule.rotation_target} out of range for {n} qubits"
-            )
+        target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
+        if not 0 <= target < n:
+            raise ValueError(f"rotation target {target} out of range for {n} qubits")
+        schedule = Schedule(
+            schedule.kind,
+            (schedule if schedule.kind is ScheduleKind.ADAPTIVE else default).interpretation,
+            target,
+            (schedule if schedule.kind is ScheduleKind.HYBRID else default).hybrid_order,
+        )
         iterations = self.max_iterations
         if iterations is None:
             iterations = 2 * n_optimal_standard(n, len(marked)) + 2
@@ -314,6 +326,7 @@ class GroverConfig:
             raise ValueError(f"max_iterations must be >= 1, got {iterations}")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "marked", tuple(marked))
+        object.__setattr__(self, "schedule", schedule)
         object.__setattr__(self, "max_iterations", iterations)
 
 
@@ -340,11 +353,10 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     to those of re-simulating each iteration with the oracle, diffusion
     and readout of tests/oracle.py on a complex register. GroverConfig
     stores the marked indices sorted, so the readout sums them in
-    ascending order.
+    ascending order, and the rotation target resolved (None as n - 1).
     """
     n = config.n_qubits
     schedule = config.schedule
-    target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
     marked = np.array(config.marked, dtype=np.int64)
     amps = uniform_superposition(n)
     spare = np.empty_like(amps)
@@ -354,7 +366,7 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
         if i <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
             theta, gate = schedule.step(n, i)
         amps[marked] *= -1.0
-        amps, spare = _diffuse(amps, spare, amps, gate, target)
+        amps, spare = _diffuse(amps, spare, amps, gate, schedule.rotation_target)
         total = float(np.vdot(amps, amps))
         if not abs(total - 1.0) < 1e-10:
             raise NormDriftError(

@@ -381,6 +381,19 @@ class TestFindPeak:
         assert find_peak_iteration(records()) == (crest, probs[crest - 1])
 
 
+# (given, same) schedules whose 13-qubit runs are one: same differs only in
+# fields given's kind ignores, or in rotation_target 12 for None.
+IGNORED_FIELDS = [
+    (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, RatioInterpretation.MULTIPLICATIVE)),
+    (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, rotation_target=12)),
+    (Schedule(ScheduleKind.ADAPTIVE), Schedule(ScheduleKind.ADAPTIVE, hybrid_order=HybridOrder.RY_THEN_H)),
+    (
+        Schedule(ScheduleKind.FIXED),
+        Schedule(ScheduleKind.FIXED, RatioInterpretation.MULTIPLICATIVE, 12, HybridOrder.RY_THEN_H),
+    ),
+]
+
+
 class TestSweepCompare:
     def test_standard_against_itself(self):
         report = sweep_compare(2, 2, Schedule())
@@ -411,6 +424,11 @@ class TestSweepCompare:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             sweep_compare(5, 4, Schedule())
+
+    @pytest.mark.parametrize("bad", [None, "hybrid-eq11-12", ScheduleKind.HYBRID])
+    def test_schedule_must_be_a_schedule(self, bad):
+        with pytest.raises(ValueError, match="schedule must be a Schedule"):
+            sweep_compare(2, 3, bad)
 
     def test_schedule_description_recorded(self):
         report = sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID))
@@ -504,19 +522,13 @@ class TestSweepCompare:
         sweep_compare(13, 13, Schedule())
         assert calls[0] == 72
 
-    @pytest.mark.parametrize(
-        "given, same",
-        [
-            (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, RatioInterpretation.MULTIPLICATIVE)),
-            (Schedule(ScheduleKind.HYBRID), Schedule(ScheduleKind.HYBRID, rotation_target=12)),
-            (Schedule(ScheduleKind.ADAPTIVE), Schedule(ScheduleKind.ADAPTIVE, hybrid_order=HybridOrder.RY_THEN_H)),
-            (
-                Schedule(ScheduleKind.FIXED),
-                Schedule(ScheduleKind.FIXED, RatioInterpretation.MULTIPLICATIVE, 12, HybridOrder.RY_THEN_H),
-            ),
-        ],
-        ids=lambda schedule: schedule.describe(),
-    )
+    @pytest.mark.parametrize("given, same", IGNORED_FIELDS, ids=Schedule.describe)
+    def test_fields_the_run_ignores_give_one_config(self, given, same):
+        config = GroverConfig(13, schedule=given)
+        assert GroverConfig(13, schedule=same) == config
+        assert hash(GroverConfig(13, schedule=same)) == hash(config)
+
+    @pytest.mark.parametrize("given, same", IGNORED_FIELDS, ids=Schedule.describe)
     def test_fields_the_run_ignores_share_its_crest(self, monkeypatch, given, same):
         # A schedule's kind reads interpretation or hybrid_order only if it
         # is adaptive or hybrid, and rotation_target None is n - 1: same

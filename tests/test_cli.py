@@ -130,6 +130,18 @@ class TestRunCommand:
         )
         assert default.output != literal.output
 
+    def test_meta_echoes_the_schedule_as_given(self, cli):
+        # The run reads the hybrid schedule without its interpretation and
+        # with target n - 1; meta still shows what the user gave.
+        result = cli(
+            "run", "--qubits", 3, "--iterations", 1, "--schedule", "hybrid-eq11-12",
+            "--eq10-interpretation", "multiplicative", "--format", "json",
+        )
+        assert result.exit_code == 0, result.output
+        meta = json.loads(result.output)["meta"]
+        assert meta["eq10_interpretation"] == "multiplicative"
+        assert meta["rotation_target"] is None
+
     def test_n20_hybrid_matches_benchmark_digest(self, cli, tmp_path):
         # The one byte-level pin above n = 13: three hybrid iterations on
         # the largest register.
@@ -176,6 +188,14 @@ class TestSweepCommand:
         assert result.exit_code == 0
         _, rows = csv_rows(result.output)
         assert rows[0]["n"] == "3"
+
+    def test_schedule_used_echoes_the_schedule_as_given(self, cli):
+        # Both sweeps run one config at n = 3; each row names its own input.
+        moved = cli("sweep", "--qubits", 3, "--schedule", "hybrid-eq11-12", "--rotation-target", 2)
+        plain = cli("sweep", "--qubits", 3, "--schedule", "hybrid-eq11-12")
+        assert moved.exit_code == plain.exit_code == 0
+        assert csv_rows(moved.output)[1][0]["schedule_used"].endswith("@q2")
+        assert "@q" not in csv_rows(plain.output)[1][0]["schedule_used"]
 
     def test_sweeps_in_one_process_match_committed_results(self, cli, tmp_path):
         # reproduce_results.py runs its sweeps in one process, each after

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -726,6 +727,27 @@ class TestConfigValidation:
     def test_schedule_must_be_a_schedule(self, bad):
         with pytest.raises(ValueError, match="schedule must be a Schedule"):
             GroverConfig(3, schedule=bad)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("given", SCHEDULES, ids=Schedule.describe)
+    def test_schedule_is_stored_as_the_run_reads_it(self, given, n):
+        config = GroverConfig(n, schedule=given)
+        resolved = config.schedule
+        assert type(resolved.rotation_target) is int
+        assert resolved.rotation_target == (n - 1 if given.rotation_target is None else given.rotation_target)
+        assert resolved.kind is given.kind
+        if given.kind is not ScheduleKind.ADAPTIVE:
+            assert resolved.interpretation is Schedule().interpretation
+        if given.kind is not ScheduleKind.HYBRID:
+            assert resolved.hybrid_order is Schedule().hybrid_order
+        again = GroverConfig(n, schedule=resolved)
+        assert again == config and hash(again) == hash(config)
+        for i in range(1, config.max_iterations + 1):
+            (theta, gate), (resolved_theta, resolved_gate) = given.step(n, i), resolved.step(n, i)
+            assert theta.hex() == resolved_theta.hex() and gate.tobytes() == resolved_gate.tobytes()
+        # The oracle re-simulates the run under the schedule as given.
+        as_given = types.SimpleNamespace(**{**vars(config), "schedule": given})
+        assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(as_given))
 
     def test_modified_needs_two_qubits(self):
         with pytest.raises(ValueError):
