@@ -7,10 +7,9 @@ derivative-free search for the best first-iteration rotation angle runs
 the simulator's own diffusion arithmetic on the angles a closed form
 leaves: it opens the register with H^n once per size, and each angle only
 rotates the pair and closes the marked amplitude's cone of the second
-H^n. The sweep compares standard and modified iteration counts; it
-memoizes each run's crest on its config, which is exact because a run is
-a pure function of its frozen config, so the sweeps one process runs
-share every run they repeat.
+H^n. The sweep compares standard and modified iteration counts; its runs
+read grover's run store, so the sweeps, traces and curves one process
+runs share every iteration they repeat.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cache
 from statistics import fmean
 from typing import NamedTuple
 
@@ -29,6 +27,7 @@ from .grover import (
     IterationRecord,
     Schedule,
     _hadamard_layers,
+    _layer_views,
     _rotate_pair,
     gate_zr_y,
     iterate_grover,
@@ -187,21 +186,24 @@ def _first_iteration_probability(n_qubits: int):
     gate_zr_y(theta) on qubit n - 1, from the uniform state with index
     2**n - 1 marked, read out as the run loop reads it.
 
-    The opening H^n does not depend on theta, so it runs once, here; a
-    probe writes _rotate_pair of its saved pair entries into the opened
-    register and closes only the marked entry's cone (_hadamard_layers
-    with last_entry).
+    The opening H^n does not depend on theta, so it runs once, here, as do
+    the views of the close; a probe writes _rotate_pair of its saved pair
+    entries into the opened register and closes only the marked entry's
+    cone (the last_entry windows of _layer_views), in the two buffers the
+    opened register is not.
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
     marked = np.array([after_oracle.size - 1])
     half = after_oracle.size >> 1
-    opened, spare = _hadamard_layers(after_oracle, np.empty_like(after_oracle), np.empty_like(after_oracle))
+    first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
+    opened = _hadamard_layers(after_oracle, _layer_views(first, second))
+    cone = _layer_views(after_oracle, first if opened is second else second, last_entry=True)
     a0, a1 = opened[half], opened[0]
 
     def f(theta: float) -> float:
         opened[half], opened[0] = _rotate_pair(gate_zr_y(theta), a0, a1)
-        return _probability(_hadamard_layers(opened, spare, after_oracle, last_entry=True)[0], marked)
+        return _probability(_hadamard_layers(opened, cone), marked)
 
     return f
 
@@ -287,11 +289,12 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     record past the first success-probability crest, and tabulates the
     crest iteration counts, their ratio and the percent improvement.
 
-    The crests come from _crest, memoized per GroverConfig: a run is a
-    pure function of its frozen config, so a crest found earlier in the
-    process is the one this run would find. GroverConfig stores the
-    schedule its run reads, so runs that differ only in what they ignore,
-    standard sweeps' two runs among them, are one config.
+    The runs read grover's run store (iterate_grover): a run is a pure
+    function of its config without the window, so the records an earlier
+    run of the process pulled are the ones this run would compute.
+    GroverConfig stores the schedule its run reads, so runs that differ
+    only in what they ignore, standard sweeps' two runs among them, are
+    one run.
     """
     check_register_size(n_lo)
     check_register_size(n_hi)
@@ -299,8 +302,8 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
         raise ValueError(f"empty qubit range {n_lo}..{n_hi}")
     rows = []
     for n in range(n_lo, n_hi + 1):
-        std_iters, std_peak = _crest(GroverConfig(n))
-        mod_iters, mod_peak = _crest(GroverConfig(n, schedule=schedule))
+        std_iters, std_peak = find_peak_iteration(iterate_grover(GroverConfig(n)))
+        mod_iters, mod_peak = find_peak_iteration(iterate_grover(GroverConfig(n, schedule=schedule)))
         ratio = mod_iters / std_iters
         rows.append(
             ComparisonRow(
@@ -319,12 +322,3 @@ def sweep_compare(n_lo: int, n_hi: int, schedule: Schedule) -> SweepReport:
     tail = [r.improvement_pct for r in rows if r.n != 2]
     return SweepReport(rows, average, fmean(tail) if tail else None)
 
-
-# Unbounded, since its keys are few: sweep configs differ only in n <= 20
-# and the Schedule the run reads, with the default marked set and window. An
-# entry holds about 340 B, and all 1,255 such configs about 0.4 MiB; the
-# sweeps of results/ leave 48. A run that raises leaves no entry.
-@cache
-def _crest(config: GroverConfig) -> tuple[int, float]:
-    """find_peak_iteration of config's run, memoized on the config."""
-    return find_peak_iteration(iterate_grover(config))

@@ -9,6 +9,13 @@ controlled rotation whose angle is set per run (fixed-eq9), per iteration
 leaves every probability unchanged. The mean form of the reflection lives
 in analysis, as the recurrence's independent check.
 
+iterate_grover builds the views of its two buffers once per register
+(_diffusion_views), and the runs of one (n_qubits, marked, schedule)
+share a run store: each iteration is simulated once per process, and a
+later reader yields the stored records and resumes the paused register.
+The store is bounded: at most 256 KiB of paused registers, none past
+n = 13, and 1 MiB of records.
+
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
 gate_ry_h(t) applies H then R_y(t) (matrix R_y(t) @ H). gate_hr_y(t) is the
@@ -21,6 +28,7 @@ Gates are 2x2 float64 arrays, row-major.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -175,7 +183,7 @@ def adaptive_phase(
     return base + growth
 
 
-def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray, target: int) -> tuple:
+def _diffuse(src: np.ndarray, views: tuple, m: np.ndarray, target: int) -> np.ndarray:
     """The diffusion H^n X^n C-U X^n H^n applied to src, with U = m on
     qubit target, controlled by every other qubit.
 
@@ -190,15 +198,14 @@ def _diffuse(src: np.ndarray, out: np.ndarray, spare: np.ndarray, m: np.ndarray,
 
     The pair update is _rotate_pair, which the angle search shares.
 
-    Returns (result, the other buffer). Both H^n ping-pong between two
-    buffers and end in whichever one the parity of n gives; see
-    _hadamard_layers. spare may be src, whose content is dead once the
-    first layer has read it, so a run diffuses its register in place and
-    holds two buffers in all.
+    views is _diffusion_views(register, other), built once per run. The
+    result is register, which may be src itself: a run diffuses in place
+    and holds two buffers in all. Any other src is only read.
     """
-    amps, spare = _hadamard_layers(src, out, spare)
+    opening, closing = views
+    amps = _hadamard_layers(src, opening)
     amps[1 << target], amps[0] = _rotate_pair(m, amps[1 << target], amps[0])
-    return _hadamard_layers(amps, spare, amps)
+    return _hadamard_layers(amps, closing)
 
 
 def _rotate_pair(m: np.ndarray, a0, a1) -> tuple:
@@ -212,8 +219,61 @@ _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # HADAMARD == HADAMARD[0, 0] * _SI
 _SIGNS.flags.writeable = False
 
 
-def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray, *, last_entry: bool = False) -> tuple:
-    """H^n of src. Returns (result, the other buffer).
+class _Layers(NamedTuple):
+    """The views of one H^n; see _layer_views."""
+
+    scaled: np.ndarray
+    first: tuple
+    rest: tuple
+    result: np.ndarray
+
+
+def _layer_views(scaled: np.ndarray, other: np.ndarray, *, last_entry: bool = False) -> _Layers:
+    """The views of H^n on two float64, C-contiguous (N,) buffers: layer 0
+    scales its source into `scaled` and applies `first`, (signs, source
+    view, destination view), writing other; layer q >= 1 applies HADAMARD
+    to the pair rest[q - 1], alternating between the buffers; the last
+    writes `result`.
+
+    Layer q reads the current layout's lowest bit, which is always bit q,
+    and writes it as the top bit: its source viewed as (N/2, 2) and
+    transposed is a (2, N/2) operand that BLAS reads with leading
+    dimension 2, and its destination viewed as (2, N/2) takes both halves,
+    so one gemm computes the layer with no copy. After n layers the layout
+    is natural again.
+
+    With last_entry, the views are windows that compute only entry N - 1
+    of the result (the rest is scratch). Each layer moves the lowest index
+    bit to the top, so the m = N >> (q+1) entries layer q must deliver are
+    row 1 of its product on its last 2m inputs: layer 0 takes row 1 of its
+    signs, and m never drops below 2, so the later layers stay gemms.
+    """
+    size = scaled.size
+    half = size >> 1
+    rows = slice(1, 2) if last_entry else slice(None)
+    buffers = (scaled, other)
+    first = (_SIGNS[rows], scaled.reshape(half, 2).T, other.reshape(2, half)[rows])
+    rest = []
+    for q in range(1, size.bit_length() - 1):
+        m = max(2, size >> (q + 1)) if last_entry else half
+        x, y = buffers[q % 2][-2 * m :], buffers[(q + 1) % 2][-2 * m :]
+        rest.append((x.reshape(m, 2).T, y.reshape(2, m)))
+    return _Layers(scaled, first, tuple(rest), buffers[(size.bit_length() - 1) % 2])
+
+
+def _diffusion_views(register: np.ndarray, other: np.ndarray) -> tuple[_Layers, _Layers]:
+    """The views of _diffuse: the opening H^n from register, ending in
+    register or other as the parity of n gives, and the closing H^n from
+    there back into register."""
+    opening = _layer_views(register, other)
+    if opening.result is register:
+        return opening, opening
+    return opening, _layer_views(other, register)
+
+
+def _hadamard_layers(src: np.ndarray, layers: _Layers) -> np.ndarray:
+    """H^n of src through the prebuilt views of _layer_views; returns
+    layers.result.
 
     The result is byte-identical to the real part of tests/oracle.py's
     per-qubit kernel applying H to qubits 0..n-1 of a complex copy of src.
@@ -222,44 +282,23 @@ def _hadamard_layers(src: np.ndarray, out: np.ndarray, spare: np.ndarray, *, las
     that IEEE arithmetic, and the real gemm, return as +0.0; no
     probability depends on it.)
 
-    Layer q reads the current layout's lowest bit, which is always bit q,
-    and writes it as the top bit: its source viewed as (N/2, 2) and
-    transposed is a (2, N/2) operand that BLAS reads with leading
-    dimension 2, so H acts on both halves in one gemm, with no copy. After
-    n layers the layout is natural again. The per-qubit kernel's layer q
-    is 2**(n-1-q) products (2,2)@(2,2**q); for q >= 1 one (2,2)@(2,N/2)
-    product computes every output entry with the same arithmetic. For
-    q = 0 numpy takes the matrix-vector route, whose entries are
-    fl(fl(h*x0) +- fl(h*x1)), h = HADAMARD[0, 0], and never -0.0 (gemv
-    adds its sums to a zeroed y). Layer 0 scales src by h in one pass into
-    spare, or into src if spare is src (its content is then dead; else src
-    is only read), applies _SIGNS to the scaled pairs in one gemm into out
-    and adds 0.0: products by +-1 are exact, so any BLAS rounds each entry
-    once, FMA or not. The later layers alternate between out and spare.
-    The three buffers are float64, C-contiguous and (N,).
-
-    With last_entry, only entry N - 1 of the result is computed, byte for
-    byte; the rest is scratch. Each layer moves the lowest index bit to
-    the top, so the m = N >> (q+1) entries layer q must deliver are row 1
-    of its product on its last 2m inputs: layer 0 subtracts the scaled
-    pairs, and m never drops below 2, so the later layers stay gemms.
+    The per-qubit kernel's layer q is 2**(n-1-q) products (2,2)@(2,2**q);
+    for q >= 1 one (2,2)@(2,N/2) product computes every output entry with
+    the same arithmetic. For q = 0 numpy takes the matrix-vector route,
+    whose entries are fl(fl(h*x0) +- fl(h*x1)), h = HADAMARD[0, 0], and
+    never -0.0 (gemv adds its sums to a zeroed y). Layer 0 scales src by h
+    in one pass into layers.scaled, which may be src itself (its content
+    is then dead; else src is only read), applies _SIGNS to the scaled
+    pairs in one gemm and adds 0.0: products by +-1 are exact, so any BLAS
+    rounds each entry once, FMA or not.
     """
-    size = src.size
-    half = size >> 1
-    scaled = src if spare is src else spare
+    scaled, (signs, x, y), rest, result = layers
     np.multiply(HADAMARD[0, 0], src, out=scaled)
-    y = out[half:] if last_entry else out
-    if last_entry:
-        np.subtract(scaled[0::2], scaled[1::2], out=y)
-    else:
-        np.matmul(_SIGNS, scaled.reshape(half, 2).T, out=out.reshape(2, half))
+    np.matmul(signs, x, out=y)
     y += 0.0
-    for q in range(1, size.bit_length() - 1):
-        m = max(2, size >> (q + 1)) if last_entry else half
-        x, y = (out[-2 * m :], spare[-2 * m :]) if last_entry else (out, spare)
-        np.matmul(HADAMARD, x.reshape(m, 2).T, out=y.reshape(2, m))
-        out, spare = spare, out
-    return out, spare
+    for x, y in rest:
+        np.matmul(HADAMARD, x, out=y)
+    return result
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
@@ -339,6 +378,113 @@ class IterationRecord(NamedTuple):
     mean_amplitude: float  # diagnostics only
 
 
+class _RunStore:
+    """iterate_grover's run store: per run, keyed (n_qubits, marked,
+    schedule), the records pulled so far and a paused register, kept as
+    (iterations it holds, register).
+
+    Both are bounded. A register is paused only up to REGISTER_BYTES
+    (64 KiB, n <= 13, the paper's tables) and at most REGISTERS_BYTES of
+    them in all, four n = 13 registers: past that the smallest, the
+    cheapest to simulate again, is evicted, least recently paused first
+    among equals. A run's records and key count RECORD_BYTES per record
+    and MARKED_BYTES per marked index (their size in CPython, rounded up),
+    at most RUNS_BYTES in all: past that whole runs are evicted with their
+    registers, least recently extended first, and a run that alone
+    exceeds it is not kept. Every change holds one lock, reentrant since a
+    reader's cleanup may run inside another change (the cycle collector),
+    so readers in any threads may share the store.
+    """
+
+    REGISTER_BYTES = 8 << 13
+    REGISTERS_BYTES = 4 * REGISTER_BYTES
+    RECORD_BYTES = 200
+    MARKED_BYTES = 40
+    RUNS_BYTES = 1 << 20
+
+    def __init__(self):
+        self.runs: dict[tuple, list[IterationRecord]] = {}
+        self.paused: dict[tuple, tuple[int, np.ndarray]] = {}
+        self.runs_bytes = self.registers_bytes = 0
+        self._lock = threading.RLock()
+
+    def record(self, key: tuple, i: int) -> IterationRecord | None:
+        """Record i of run key, if the store holds it. Takes no lock: a
+        run's list only ever grows, so one evicted meanwhile reads true."""
+        records = self.runs.get(key, ())
+        return records[i - 1] if i <= len(records) else None
+
+    def take(self, key: tuple, after: int, before: int) -> tuple | None:
+        """Pop run key's paused register if it holds more than `after`
+        iterations and at most `before`: (iterations, register)."""
+        with self._lock:
+            paused = self.paused.get(key)
+            if paused is None or not after < paused[0] <= before:
+                return None
+            return self._unpause(key)
+
+    def extend(self, key: tuple, record: IterationRecord) -> None:
+        """Store record if it is run key's next one, and mark the run as
+        the most recently extended."""
+        with self._lock:
+            records = self.runs.pop(key, None)
+            if records is None and record.iteration == 1:
+                records = []
+                self.runs_bytes += self._bytes(key, records)
+            if records is None:
+                return
+            self.runs[key] = records
+            if len(records) == record.iteration - 1:
+                records.append(record)
+                self.runs_bytes += self.RECORD_BYTES
+            if self._bytes(key, records) > self.RUNS_BYTES:
+                self._drop(key)
+            while self.runs_bytes > self.RUNS_BYTES:
+                self._drop(next(iter(self.runs)))
+
+    def pause(self, key: tuple, done: int, register: np.ndarray) -> None:
+        """Keep register, which holds `done` iterations of run key, if
+        they are all the records stored and it fits the bounds."""
+        with self._lock:
+            if register.nbytes > self.REGISTER_BYTES or len(self.runs.get(key, ())) != done:
+                return
+            self._unpause(key)
+            self.paused[key] = done, register
+            self.registers_bytes += register.nbytes
+            while self.registers_bytes > self.REGISTERS_BYTES:
+                smallest = min(self.paused, key=lambda k: self.paused[k][1].nbytes)
+                self.registers_bytes -= self.paused.pop(smallest)[1].nbytes
+
+    def drop(self, key: tuple) -> None:
+        """Forget run key: its records and its paused register."""
+        with self._lock:
+            self._drop(key)
+
+    def clear(self) -> None:
+        with self._lock:
+            self.runs.clear()
+            self.paused.clear()
+            self.runs_bytes = self.registers_bytes = 0
+
+    def _drop(self, key: tuple) -> None:
+        records = self.runs.pop(key, None)
+        if records is not None:
+            self.runs_bytes -= self._bytes(key, records)
+        self._unpause(key)
+
+    def _bytes(self, key: tuple, records: list) -> int:
+        return len(key[1]) * self.MARKED_BYTES + len(records) * self.RECORD_BYTES
+
+    def _unpause(self, key: tuple) -> tuple | None:
+        paused = self.paused.pop(key, None)
+        if paused is not None:
+            self.registers_bytes -= paused[1].nbytes
+        return paused
+
+
+_STORE = _RunStore()
+
+
 def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     """Prepare the uniform state, then yield one record per iteration of
     oracle + scheduled diffusion, up to max_iterations records.
@@ -347,34 +493,67 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     early skips the remaining iterations. Raises NormDriftError if the
     squared norm leaves 1 by 1e-10 or more.
 
-    The run owns two float64 register-sized buffers for its whole length:
-    the oracle negates the marked amplitudes in place, and _diffuse works
-    in the register and the other buffer. The records are byte-identical
-    to those of re-simulating each iteration with the oracle, diffusion
-    and readout of tests/oracle.py on a complex register. GroverConfig
-    stores the marked indices sorted, so the readout sums them in
-    ascending order, and the rotation target resolved (None as n - 1).
+    A run is a pure function of (n_qubits, marked, schedule), which
+    GroverConfig stores as the run reads them, so the readers of that key
+    share one entry of the run store (_RunStore): a reader yields the
+    records stored, and past them goes on from the furthest register it
+    may use (the run's paused register if it holds no iteration the reader
+    has yet to yield, else its own, else the uniform state) and stores what
+    it computes. A reader that stops while holding all the stored records
+    pauses its register within the store's bounds, so no register of
+    n >= 14 outlives its run and all runs' records stay within 1 MiB; past
+    what an evicted run holds, a reader simulates it again. A run that
+    raises leaves no entry.
+
+    A reader that simulates owns two float64 register-sized buffers and
+    builds their views once (_diffusion_views): the oracle negates the
+    marked amplitudes in place, and _diffuse works in the two buffers.
+    The records are byte-identical to those of
+    re-simulating each iteration with the oracle, diffusion and readout of
+    tests/oracle.py on a complex register. GroverConfig stores the marked
+    indices sorted, so the readout sums them in ascending order, and the
+    rotation target resolved (None as n - 1).
     """
     n = config.n_qubits
     schedule = config.schedule
     marked = np.array(config.marked, dtype=np.int64)
-    amps = uniform_superposition(n)
-    spare = np.empty_like(amps)
-    for i in range(1, config.max_iterations + 1):
-        # Only the adaptive gate changes after iteration 2 (Schedule.step),
-        # so the others are built twice per run.
-        if i <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
-            theta, gate = schedule.step(n, i)
-        amps[marked] *= -1.0
-        amps, spare = _diffuse(amps, spare, amps, gate, schedule.rotation_target)
-        total = float(np.vdot(amps, amps))
-        if not abs(total - 1.0) < 1e-10:
-            raise NormDriftError(
-                f"statevector norm drifted to {total!r} at iteration {i}"
-            )
-        yield IterationRecord(
-            iteration=i,
-            theta_used=theta,
-            target_probability=_probability(amps, marked),
-            mean_amplitude=float(np.mean(amps)),
-        )
+    key = (n, config.marked, schedule)
+    done, amps = 0, None  # this reader's register holds `done` iterations
+    try:
+        for i in range(1, config.max_iterations + 1):
+            record = _STORE.record(key, i)
+            if record is None:
+                try:
+                    taken = _STORE.take(key, done, i - 1)
+                    if taken is not None or amps is None:
+                        done, amps = taken or (0, uniform_superposition(n))
+                        views = _diffusion_views(amps, np.empty_like(amps))
+                        gate = None
+                    while done < i:
+                        done += 1
+                        # Only the adaptive gate changes after iteration 2
+                        # (Schedule.step).
+                        if gate is None or done <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
+                            theta, gate = schedule.step(n, done)
+                        amps[marked] *= -1.0
+                        amps = _diffuse(amps, views, gate, schedule.rotation_target)
+                        total = float(np.vdot(amps, amps))
+                        if not abs(total - 1.0) < 1e-10:
+                            raise NormDriftError(
+                                f"statevector norm drifted to {total!r} at iteration {done}"
+                            )
+                    record = IterationRecord(
+                        iteration=i,
+                        theta_used=theta,
+                        target_probability=_probability(amps, marked),
+                        mean_amplitude=float(np.mean(amps)),
+                    )
+                except BaseException:
+                    amps = None
+                    _STORE.drop(key)
+                    raise
+                _STORE.extend(key, record)
+            yield record
+    finally:
+        if amps is not None:
+            _STORE.pause(key, done, amps)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, analysis, grover
+from groversim import HybridOrder, RatioInterpretation, Schedule, ScheduleKind, grover
 from groversim.cli import main as cli_main
 from oracle import StateVector
 
@@ -37,15 +37,27 @@ def diffuse(amps: np.ndarray, gate: np.ndarray, target: int | None = None) -> np
     place to a float64 register; target defaults to the highest qubit."""
     n = amps.size.bit_length() - 1
     target = n - 1 if target is None else target
-    result, _ = grover._diffuse(amps, np.empty_like(amps), np.empty_like(amps), gate, target)
-    return result
+    return grover._diffuse(amps, grover._diffusion_views(np.empty_like(amps), np.empty_like(amps)), gate, target)
+
+
+def hadamard(src: np.ndarray, out: np.ndarray, spare: np.ndarray, *, last_entry: bool = False) -> tuple:
+    """grover._hadamard_layers through views of out and spare built for
+    this call: layer 0 scales src into spare, which may be src, and writes
+    out. Returns (result, the other buffer)."""
+    result = grover._hadamard_layers(src, grover._layer_views(spare, out, last_entry=last_entry))
+    return result, (spare if result is out else out)
+
+
+def clear_run_store():
+    """Forget every run of grover's run store, records and paused registers."""
+    grover._STORE.clear()
 
 
 @pytest.fixture(autouse=True)
 def cold_crests():
-    """Each test starts without memoized sweep crests, so none it makes
-    under a patched kernel can reach a later test."""
-    analysis._crest.cache_clear()
+    """Each test starts with an empty run store, so no run it makes under
+    a patched kernel can reach a later test."""
+    clear_run_store()
 
 
 @pytest.fixture

@@ -30,10 +30,9 @@ from groversim import (
     success_probability_standard,
     sweep_compare,
 )
-from groversim import analysis
 from groversim.analysis import simulated_amplitude_series, standard_diffusion_mean
 from groversim.cli import main as cli_main
-from conftest import random_real_amps, random_state
+from conftest import clear_run_store, random_real_amps, random_state
 from oracle import (
     HADAMARD,
     PAULI_X,
@@ -307,11 +306,11 @@ def test_criterion_8_byte_identical_reruns():
     ]
     stable = True
     for command in commands:
-        # Each run starts with no memoized sweep crests, so a rerun
-        # recomputes its crests instead of reading the first run's.
-        analysis._crest.cache_clear()
+        # Each run starts with an empty run store, so a rerun simulates
+        # its runs instead of reading the first run's records.
+        clear_run_store()
         first = _cli(*command).encode()
-        analysis._crest.cache_clear()
+        clear_run_store()
         second = _cli(*command).encode()
         if first != second:
             stable = False

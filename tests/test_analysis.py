@@ -37,7 +37,7 @@ from groversim.analysis import (
 )
 from groversim import analysis, grover
 from groversim.grover import gate_zr_y
-from conftest import SCHEDULES
+from conftest import SCHEDULES, clear_run_store
 from oracle import modified_diffusion, phase_flip_indices, target_probability, uniform_state
 
 
@@ -464,9 +464,9 @@ class TestSweepCompare:
         assert sweep_compare(3, 4, schedule) == sweep_compare(3, 4, Schedule(ScheduleKind.HYBRID, rotation_target=1))
 
     def test_simulates_only_up_to_one_past_each_crest(self, monkeypatch):
-        # iterate_grover runs one _diffuse per iteration; a cold memo makes
-        # the sweep run both schedules.
-        analysis._crest.cache_clear()
+        # iterate_grover runs one _diffuse per iteration; an empty run
+        # store makes the sweep run both schedules.
+        clear_run_store()
         calls = 0
         real = grover._diffuse
 
@@ -517,7 +517,7 @@ class TestSweepCompare:
         assert (row.mod_iters, row.mod_peak_prob) != (cold[0].mod_iters, cold[0].mod_peak_prob)
 
         # Both runs of a standard-schedule sweep are one config.
-        analysis._crest.cache_clear()
+        clear_run_store()
         calls[0] = 0
         sweep_compare(13, 13, Schedule())
         assert calls[0] == 72
@@ -539,21 +539,21 @@ class TestSweepCompare:
         warm = sweep_compare(13, 13, same).rows
         assert calls[0] == 0
         assert warm == [row._replace(schedule_used=same.describe()) for row in first]
-        analysis._crest.cache_clear()
+        clear_run_store()
         assert sweep_compare(13, 13, same).rows == warm
 
     def test_failed_run_is_not_memoized(self, monkeypatch):
         cold = sweep_compare(3, 3, Schedule(ScheduleKind.HYBRID)).rows
-        analysis._crest.cache_clear()
+        clear_run_store()
         real = grover._diffuse
         standard_gate = gate_zr_y(0.0)
 
-        def drifting(src, out, spare, m, target):
+        def drifting(src, views, m, target):
             # The standard run is exact; every modified run drifts at once.
-            amps, spare = real(src, out, spare, m, target)
+            amps = real(src, views, m, target)
             if not np.array_equal(m, standard_gate):
                 amps *= 1.001
-            return amps, spare
+            return amps
 
         monkeypatch.setattr(grover, "_diffuse", drifting)
         with pytest.raises(NormDriftError):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -33,7 +34,7 @@ from groversim import (
 from groversim import grover
 from groversim.analysis import standard_diffusion_mean
 from groversim.statevector import uniform_superposition
-from conftest import SCHEDULES, diffuse, random_real_amps, random_state
+from conftest import SCHEDULES, clear_run_store, diffuse, hadamard, random_real_amps, random_state
 from oracle import (
     HADAMARD,
     StateVector,
@@ -251,7 +252,7 @@ class TestDiffusion:
                 expected = modified_diffusion(StateVector(n, amps), gate, target).amps.real
                 assert diffuse(amps, gate, target).tobytes() == expected.tobytes()
                 assert amps.tobytes() == before.tobytes()
-                in_place, _ = grover._diffuse(amps, np.empty_like(amps), amps, gate, target)
+                in_place = grover._diffuse(amps, grover._diffusion_views(amps, np.empty_like(amps)), gate, target)
                 assert in_place.tobytes() == expected.tobytes()
 
     def test_modified_n2_zero_angle_reaches_certainty(self):
@@ -269,13 +270,13 @@ class TestDiffusion:
         # Given its buffers, the diffusion allocates nothing register-sized;
         # a temporary would show in large-register peak RSS.
         amps = random_real_amps(16, np.random.default_rng(36))
-        out = np.empty_like(amps)
-        spare = amps if in_place else np.empty_like(amps)
+        register = amps if in_place else np.empty_like(amps)
+        views = grover._diffusion_views(register, np.empty_like(amps))
         gate = gate_zr_y(0.3)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            grover._diffuse(amps, out, spare, gate, 15)
+            grover._diffuse(amps, views, gate, 15)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -339,13 +340,13 @@ class TestHadamardLayers:
         amps = layer_test_amps(family, n, np.random.default_rng(n))
         before = amps.copy()
         first, second = np.empty_like(amps), np.empty_like(amps)
-        result, spare = grover._hadamard_layers(amps, first, second)
+        result, spare = hadamard(amps, first, second)
         assert_real_part_bytes(result, per_qubit_hadamards(amps))
         assert amps.tobytes() == before.tobytes()
         assert result is (first if n % 2 else second) and spare is (second if n % 2 else first)
         # The closing H^n's form, with the source as spare, equals out of place.
-        expected, _ = grover._hadamard_layers(result, np.empty_like(amps), np.empty_like(amps))
-        got, _ = grover._hadamard_layers(result, spare, result)
+        expected, _ = hadamard(result, np.empty_like(amps), np.empty_like(amps))
+        got, _ = hadamard(result, spare, result)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n, parts", [(1, [0.0, -0.0, 0.5, -0.5]), (2, [0.0, -0.0, 0.5])])
@@ -358,12 +359,12 @@ class TestHadamardLayers:
         for combo in itertools.product(parts, repeat=1 << n):
             amps = np.array(combo)
             expected = per_qubit_hadamards(amps)
-            result, _ = grover._hadamard_layers(amps, first, second)
+            result, _ = hadamard(amps, first, second)
             assert_real_part_bytes(result, expected)
             src = amps.copy()
-            result, _ = grover._hadamard_layers(src, first, src)
+            result, _ = hadamard(src, first, src)
             assert_real_part_bytes(result, expected)
-            last, _ = grover._hadamard_layers(amps, np.empty_like(amps), np.empty_like(amps), last_entry=True)
+            last, _ = hadamard(amps, np.empty_like(amps), np.empty_like(amps), last_entry=True)
             assert last[-1:].tobytes() == result[-1:].tobytes()
 
     @pytest.mark.parametrize(
@@ -381,12 +382,57 @@ class TestHadamardLayers:
         # entry the cone leaves unwritten, it would be NaN.
         amps = layer_test_amps(family, n, np.random.default_rng(n))
         before = amps.copy()
-        expected, _ = grover._hadamard_layers(amps, np.empty_like(amps), np.empty_like(amps))
+        expected, _ = hadamard(amps, np.empty_like(amps), np.empty_like(amps))
         first, second = np.full_like(amps, np.nan), np.full_like(amps, np.nan)
-        result, spare = grover._hadamard_layers(amps, first, second, last_entry=True)
+        result, spare = hadamard(amps, first, second, last_entry=True)
         assert result is (first if n % 2 else second) and spare is (second if n % 2 else first)
         assert result[-1:].tobytes() == expected[-1:].tobytes()
         assert amps.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13])
+    def test_reused_views_equal_per_qubit_kernel_bytewise(self, n):
+        # A run builds its views once and sends every H^n through them: each
+        # call equals the per-qubit kernel, out of place or in place (the
+        # source is the scaled buffer), whatever the buffers held before.
+        rng = np.random.default_rng(200 + n)
+        scaled, other = np.empty(1 << n), np.empty(1 << n)
+        views = grover._layer_views(scaled, other)
+        for family in ["real", "wide-range", "flipped-uniform", "signed-zero-basis", "real"]:
+            amps = layer_test_amps(family, n, rng)
+            expected = per_qubit_hadamards(amps)
+            result = grover._hadamard_layers(amps, views)
+            assert result is views.result is (other if n % 2 else scaled)
+            assert_real_part_bytes(result, expected)
+            scaled[:] = amps
+            assert_real_part_bytes(grover._hadamard_layers(scaled, views), expected)
+
+    @pytest.mark.parametrize("inner_gate", [gate_zr_y, gate_ry_h, gate_hr_y])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_diffusion_views_serve_every_iteration_bytewise(self, inner_gate, n):
+        # The run loop's form: one _diffusion_views per run, each diffusion
+        # in place in the register, checked against the gate-by-gate
+        # circuit on a complex register after every step.
+        rng = np.random.default_rng(300 + n)
+        register = random_real_amps(n, rng)
+        views = grover._diffusion_views(register, np.empty_like(register))
+        state = StateVector(n, register.copy())
+        for _ in range(6):
+            target = int(rng.integers(n))
+            gate = inner_gate(float(rng.uniform(-math.pi, math.pi)))
+            assert grover._diffuse(register, views, gate, target) is register
+            state = modified_diffusion(state, gate, target)
+            assert register.tobytes() == np.ascontiguousarray(state.amps.real).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13])
+    def test_reused_last_entry_views_bytewise(self, n):
+        # The angle search builds its cone windows once per n and closes
+        # every probe through them.
+        rng = np.random.default_rng(400 + n)
+        views = grover._layer_views(np.full(1 << n, np.nan), np.full(1 << n, np.nan), last_entry=True)
+        for family in ["real", "wide-range", "flipped-uniform", "signed-zero-basis", "real"]:
+            amps = layer_test_amps(family, n, rng)
+            expected, _ = hadamard(amps, np.empty_like(amps), np.empty_like(amps))
+            assert grover._hadamard_layers(amps, views)[-1:].tobytes() == expected[-1:].tobytes()
 
     @pytest.mark.parametrize("family, n", itertools.product(["real", "wide-range"], [5, 12, 20]))
     def test_sign_layer_rounds_once_without_fma(self, family, n):
@@ -539,6 +585,262 @@ class TestIterateGrover:
         assert list(itertools.islice(iterate_grover(config), 3)) == records[:3]
 
 
+def cold_record_bytes(config):
+    """record_bytes of config's run simulated from the uniform state, with
+    the run store empty before and after."""
+    clear_run_store()
+    try:
+        return record_bytes(iterate_grover(config))
+    finally:
+        clear_run_store()
+
+
+def store_key(config):
+    return config.n_qubits, config.marked, config.schedule
+
+
+def check_store_bytes():
+    """The store's byte counts equal what it holds, within its budgets."""
+    store = grover._STORE
+    runs_bytes = sum(
+        len(marked) * store.MARKED_BYTES + len(records) * store.RECORD_BYTES
+        for (_, marked, _), records in store.runs.items()
+    )
+    registers_bytes = sum(r.nbytes for _, r in store.paused.values())
+    assert (store.runs_bytes, store.registers_bytes) == (runs_bytes, registers_bytes)
+    assert runs_bytes <= store.RUNS_BYTES and registers_bytes <= store.REGISTERS_BYTES
+    assert store.paused.keys() <= store.runs.keys()
+
+
+class TestRunStore:
+    """Runs of one (n, marked, schedule) share their records and resume a
+    paused register; every reader gets a cold run's bytes."""
+
+    @pytest.mark.parametrize("window", ["shorter", "equal", "longer", "longer-evicted"])
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    def test_resumed_stream_equals_cold_run_bytewise(self, schedule, n, window):
+        full = GroverConfig(n, schedule=schedule)
+        held = full.max_iterations // 2
+        length = {"shorter": held - 2, "equal": held}.get(window, full.max_iterations + 5)
+        config = GroverConfig(n, schedule=schedule, max_iterations=length)
+        expected = cold_record_bytes(config)
+        assert len(list(itertools.islice(iterate_grover(full), held))) == held
+        key = store_key(config)
+        assert len(grover._STORE.runs[key]) == held and key in grover._STORE.paused
+        if window == "longer-evicted":
+            assert grover._STORE.take(key, 0, held) is not None
+        assert record_bytes(iterate_grover(config)) == expected
+        assert len(grover._STORE.runs[key]) == max(held, length)
+        check_store_bytes()
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    def test_interleaved_readers_get_cold_bytes(self, schedule):
+        # The first reader extends the run and holds its register; the
+        # second reads those records, then starts over and extends past
+        # them; the first reads those and catches up from its own register.
+        config = GroverConfig(9, schedule=schedule)
+        expected = cold_record_bytes(config)
+        readers = iterate_grover(config), iterate_grover(config)
+        got = [], []
+        for which, count in [(0, 3), (1, 5), (0, 4), (1, 1), (0, 20), (1, 40), (0, 40)]:
+            got[which].extend(itertools.islice(readers[which], count))
+        assert record_bytes(got[0]) == record_bytes(got[1]) == expected
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    def test_reader_taking_a_later_register_rebuilds_its_gate(self, schedule):
+        # The long reader holds iteration 1's gate when it takes the short
+        # reader's register at iteration 5; the hybrid gate differs from
+        # iteration 2 on, so it must be rebuilt for iteration 6.
+        config = GroverConfig(5, schedule=schedule, max_iterations=20)
+        expected = cold_record_bytes(config)
+        long_reader = iterate_grover(config)
+        first = next(long_reader)
+        assert len(list(iterate_grover(dataclasses.replace(config, max_iterations=5)))) == 5
+        assert grover._STORE.paused[store_key(config)][0] == 5
+        assert record_bytes([first, *long_reader]) == expected
+
+    @pytest.mark.parametrize("simulated", [True, False], ids=["own-register", "no-register"])
+    def test_reader_of_an_evicted_run_reads_its_successor(self, simulated):
+        # The run is evicted under a live reader and simulated again past
+        # it; the reader yields the new entry's records and goes on from
+        # its paused register.
+        config = GroverConfig(9, schedule=Schedule(ScheduleKind.HYBRID))
+        expected = cold_record_bytes(config)
+        if not simulated:
+            list(itertools.islice(iterate_grover(config), 3))
+        reader = iterate_grover(config)
+        got = list(itertools.islice(reader, 3))
+        grover._STORE.drop(store_key(config))
+        assert len(list(itertools.islice(iterate_grover(config), 6))) == 6
+        assert grover._STORE.paused[store_key(config)][0] == 6
+        got.extend(reader)
+        assert record_bytes(got) == expected
+        check_store_bytes()
+
+    def test_register_paused_behind_the_records_resumes_from_its_count(self, monkeypatch):
+        # A reader stopped (here closed; the cycle collector may do it at
+        # any allocation) while another's step is under way pauses a
+        # register one record behind once that step lands: the next reader
+        # must go on from the iteration count stored with it.
+        config = GroverConfig(9)
+        expected = cold_record_bytes(config)
+        ahead, behind = iterate_grover(config), iterate_grover(config)
+        assert len(list(itertools.islice(ahead, 3))) == len(list(itertools.islice(behind, 3))) == 3
+        real = grover._diffuse
+
+        def closing_ahead(*args):
+            ahead.close()
+            return real(*args)
+
+        monkeypatch.setattr(grover, "_diffuse", closing_ahead)
+        assert next(behind).iteration == 4
+        monkeypatch.undo()
+        assert grover._STORE.paused[store_key(config)][0] == 3
+        # behind's own register is further on than the paused one.
+        assert next(behind).iteration == 5
+        assert grover._STORE.paused[store_key(config)][0] == 3
+        assert record_bytes(iterate_grover(config)) == expected
+
+    def test_register_paused_past_a_reader_is_not_taken(self, monkeypatch):
+        # Another thread may extend the run and pause its register between
+        # a reader's lookup of record 5 and its take: that register holds
+        # iterations the reader has yet to yield, so it must not be taken.
+        config = GroverConfig(9)
+        expected = cold_record_bytes(config)
+        real = grover._STORE.record
+        raced = False
+
+        def racing(key, i):
+            nonlocal raced
+            got = real(key, i)
+            if i == 5 and not raced:
+                raced = True
+                assert len(list(iterate_grover(config))) == config.max_iterations
+            return got
+
+        monkeypatch.setattr(grover._STORE, "record", racing)
+        assert record_bytes(iterate_grover(config)) == expected
+        assert raced and grover._STORE.paused[store_key(config)][0] == config.max_iterations
+
+    def test_failed_run_leaves_no_entry(self, monkeypatch):
+        # Each reader's kernel drifts from its third diffusion on; the first
+        # reader's two records are dropped with the run, so the second
+        # simulates from the uniform state and fails where the first did.
+        config = GroverConfig(5, schedule=Schedule(ScheduleKind.HYBRID))
+        real = grover._diffuse
+
+        def drifting(src, views, m, target):
+            amps = real(src, views, m, target)
+            if next(calls) >= 3:
+                amps *= 1.001
+            return amps
+
+        monkeypatch.setattr(grover, "_diffuse", drifting)
+        for _ in range(2):
+            calls = itertools.count(1)
+            records = iterate_grover(config)
+            assert [r.iteration for r in itertools.islice(records, 2)] == [1, 2]
+            with pytest.raises(NormDriftError, match="at iteration 3$"):
+                next(records)
+            assert store_key(config) not in grover._STORE.runs
+            assert store_key(config) not in grover._STORE.paused
+            check_store_bytes()
+
+    def test_no_register_of_n14_outlives_its_run(self, cli):
+        # n = 13 pauses; n = 14, 16 and 20 keep their records only.
+        for args in [
+            ("--qubits", 13, "--iterations", 20),
+            ("--qubits", 14, "--iterations", 3),
+            ("--qubits", 16, "--iterations", 20),
+            ("--qubits", 20, "--iterations", 3, "--schedule", "hybrid-eq11-12"),
+        ]:
+            assert cli("run", *args).exit_code == 0
+        assert sorted(n for n, _, _ in grover._STORE.runs) == [13, 14, 16, 20]
+        assert [n for n, _, _ in grover._STORE.paused] == [13]
+        check_store_bytes()
+
+    def test_paused_registers_stay_within_the_budget(self, monkeypatch):
+        store = grover._STORE
+        held = []
+        real = store.pause
+
+        def checked(key, done, register):
+            real(key, done, register)
+            check_store_bytes()
+            held.append(store.registers_bytes)
+
+        monkeypatch.setattr(store, "pause", checked)
+        schedules = [Schedule(kind) for kind in ScheduleKind]
+        for n in range(2, 15):
+            for schedule in schedules:
+                list(iterate_grover(GroverConfig(n, schedule=schedule, max_iterations=3)))
+        assert len(held) == 13 * len(schedules)
+        assert max(held) <= store.REGISTERS_BYTES == 4 * store.REGISTER_BYTES
+        # The budget holds four n = 13 registers; the fifth evicts one.
+        assert held[-len(schedules) - 1] == store.REGISTERS_BYTES == 4 * (8 << 13)
+        assert sorted(r.size for _, r in store.paused.values()) == [1 << 13] * 4
+
+    def test_records_stay_within_the_budget(self, monkeypatch):
+        # Each scanned run holds 300,040 B of records and key: the fourth
+        # evicts the least recently extended, and the evicted run reads
+        # its cold bytes again.
+        store = grover._STORE
+        configs = [GroverConfig(5, {j}, max_iterations=1500) for j in range(5)]
+        expected = cold_record_bytes(configs[0])
+        real = store.extend
+
+        def checked(key, record):
+            real(key, record)
+            check_store_bytes()
+
+        monkeypatch.setattr(store, "extend", checked)
+        for config in configs:
+            assert len(list(iterate_grover(config))) == 1500
+        assert [marked for _, marked, _ in store.runs] == [(2,), (3,), (4,)]
+        assert store.RUNS_BYTES == 1 << 20
+        assert record_bytes(iterate_grover(configs[0])) == expected
+        assert [marked for _, marked, _ in store.runs] == [(3,), (4,), (0,)]
+
+    @pytest.mark.parametrize(
+        "config, kept",
+        [
+            # Grows past the budget record by record: first it evicts the
+            # n = 5 run, the least recently extended, then itself.
+            pytest.param(GroverConfig(3, max_iterations=6000), [], id="long-window"),
+            # Its key alone is past the budget: not kept from record 1.
+            pytest.param(GroverConfig(16, range(1 << 15), max_iterations=2), [5], id="large-marked-set"),
+        ],
+    )
+    def test_run_past_the_budget_is_not_kept(self, config, kept, monkeypatch):
+        store = grover._STORE
+        list(itertools.islice(iterate_grover(GroverConfig(5)), 3))
+        real = store.extend
+
+        def checked(key, record):
+            real(key, record)
+            check_store_bytes()
+
+        monkeypatch.setattr(store, "extend", checked)
+        assert len(list(iterate_grover(config))) == config.max_iterations
+        assert [n for n, _, _ in store.runs] == [n for n, _, _ in store.paused] == kept
+
+    def test_readers_in_threads_share_the_store(self):
+        # Eight threads read each schedule's n = 9 run twice over, with
+        # different windows, through one store.
+        configs = [
+            GroverConfig(9, schedule=schedule, max_iterations=length)
+            for schedule in SCHEDULES
+            for length in (7, 19)
+        ]
+        expected = [cold_record_bytes(config) for config in configs]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(2):
+                got = list(pool.map(lambda config: record_bytes(iterate_grover(config)), configs))
+                assert got == expected
+        check_store_bytes()
+
+
 class TestMarkedIndexSymmetry:
     """A run's success curve depends on the marked index only through bit t,
     the rotation target: for j != t, X_j commutes with the diffusion and
@@ -608,10 +910,9 @@ class TestNormDrift:
         returns the list its calls are appended to."""
         calls = []
 
-        def diffusion(src, out, spare, matrix, target):
+        def diffusion(src, views, matrix, target):
             calls.append(target)
-            np.multiply(src, factor, out=out)
-            return out, spare
+            return np.multiply(src, factor, out=src)
 
         monkeypatch.setattr(grover, "_diffuse", diffusion)
         return calls
@@ -645,9 +946,9 @@ class TestNormDrift:
                 raise SystemExit(2)  # not running under -O
             calls = []
 
-            def diffusion(src, out, spare, *args):
+            def diffusion(src, views, *args):
                 calls.append(args)
-                return np.multiply(src, 2, out=out), spare
+                return np.multiply(src, 2, out=src)
 
             grover._diffuse = diffusion
             try:

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from groversim import gate_hr_y, gate_r_y, gate_ry_h, gate_zr_y, statevector
 from groversim.analysis import standard_diffusion_mean
-from groversim.grover import _hadamard_layers
-from conftest import diffuse, random_real_amps, random_state
+from conftest import diffuse, hadamard, random_real_amps, random_state
 from oracle import (
     HADAMARD,
     PAULI_X,
@@ -154,7 +153,7 @@ def test_float64_kernel_is_real_part_of_complex128_kernel_bytewise(n, signed_zer
     x = rng.normal(size=1 << n)
     if signed_zeros:
         x = np.where(rng.random(x.shape) < 0.7, rng.choice([0.0, -0.0], size=x.shape), x)
-    result, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
+    result, _ = hadamard(x, np.empty_like(x), np.empty_like(x))
     assert_real_part_bytes(result, apply_sequence(StateVector(n, x), layer(HADAMARD, n)))
 
 
@@ -173,8 +172,8 @@ def test_last_entry_equals_full_kernel_bytewise(n, family, seed):
         x = np.where(rng.random(x.shape) < 0.7, rng.choice([0.0, -0.0], size=x.shape), x)
     elif family == "wide-range":
         x *= np.exp2(rng.integers(-1100, 64, size=x.shape).astype(float))
-    expected, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x))
-    result, _ = _hadamard_layers(x, np.empty_like(x), np.empty_like(x), last_entry=True)
+    expected, _ = hadamard(x, np.empty_like(x), np.empty_like(x))
+    result, _ = hadamard(x, np.empty_like(x), np.empty_like(x), last_entry=True)
     assert result[-1:].tobytes() == expected[-1:].tobytes()
 
 
