@@ -17,9 +17,11 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -183,76 +185,109 @@ def _base_meta(command: str, schedule: Schedule | None = None) -> dict:
 _CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
-def _csv_format(types: tuple) -> tuple[str, tuple[int, ...]]:
-    """The % template of a CSV line whose cells have these types, and the
-    positions of the cells that csv must write first (_csv_field).
-
-    A float (numpy.float64 included) takes 10 significant digits, an exact
-    int its digits, and None consumes its value and writes nothing. Every
-    other cell, bool and str included, is written as csv writes it; so is
-    a row's only cell, since csv writes a lone empty field as "".
-    """
-    fields = []
-    for t in types:
-        if issubclass(t, float):
-            fields.append("%.10g")
-        elif t is int:
-            fields.append("%d")
-        elif t is type(None) and len(types) > 1:
-            fields.append("%.0s")
-        else:
-            fields.append("%s")
-    return ",".join(fields) + "\n", tuple(i for i, f in enumerate(fields) if f == "%s")
+# Rows per write, in both formats. A chunk is a few KiB of text.
+_ROWS_PER_CHUNK = 128
+# The % spec that writes a cell of each exact type in each format. %r writes
+# a finite float as json does (float.__repr__); %.0s consumes a None and
+# writes nothing of it. Every other cell, bool, str and float subclasses
+# such as numpy.float64 included, is written by the format's per-cell writer
+# and placed with %s.
+_JSON_SPECS = {int: "%d", float: "%r", type(None): "%.0snull"}
+_CSV_SPECS = {int: "%d", float: "%.10g", type(None): "%.0s"}
 
 
-def _csv_field(value, alone: bool) -> str:
-    """value as csv writes it, as a row's only cell or among others."""
+def _csv_cell(value, alone: bool = False) -> str:
+    """value as a CSV cell: a float with 10 significant digits, any other
+    value as csv writes it, as a row's only cell or among others."""
+    if isinstance(value, float):
+        return "%.10g" % value
     return _CSV_LINE((value,))[:-1] if alone else _CSV_LINE((value, None))[:-2]
 
 
-def _csv_lines(rows):
-    """Yield one CSV line per row, a tuple of cells: its _csv_format
-    template, built once per tuple of cell types, applied to its values."""
-    formats = {}
-    for values in rows:
-        # Built at its size through a list: tuple(map(...)) guesses a size and
-        # shrinks the tuple, which is slower and strands it on CPython's
-        # free list for tuples of the row's length, up to 2000 of them.
-        types = tuple(list(map(type, values)))
-        if types not in formats:
-            formats[types] = _csv_format(types)
-        template, quoted = formats[types]
-        if quoted:
-            alone = len(values) == 1
-            values = tuple(_csv_field(v, alone) if i in quoted else v for i, v in enumerate(values))
-        yield template % values
+class _Layout(NamedTuple):
+    """How one format writes rows of one width."""
+
+    width: int
+    specs: dict  # the % spec of each exact cell type
+    cell: Callable[[object], str]  # the per-cell writer of every other cell
+    row: Callable[[tuple], str]  # the % template of a row, from its cells' specs
+    sep: str  # between two rows
 
 
-# A chunk's rows are encoded in one call of the C encoder (it is used only
-# when indent is None); the item separator carries the indentation that
-# indent=2 gives a row's items inside the document.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-# Rows per write, in both formats. A chunk is a few KiB of text.
-_ROWS_PER_CHUNK = 128
+def _json_layout(columns) -> _Layout:
+    """Rows as json.dumps(indent=2) lays out a dict(zip(columns, row)) in
+    the document's rows list; a key's % is doubled in the template."""
+    keys = [json.dumps(column).replace("%", "%%") for column in columns]
+
+    def row(specs):
+        items = ",".join(f"\n      {key}: {spec or '%s'}" for key, spec in zip(keys, specs))
+        return "{" + items + "\n    }" if items else "{}"
+
+    return _Layout(len(columns), _JSON_SPECS, json.dumps, functools.cache(row), ",\n    ")
+
+
+def _csv_layout(width: int) -> _Layout:
+    """Rows as csv.writer(lineterminator="\n") writes them, floats with 10
+    significant digits. csv writes a row's only cell "" when it is empty, so
+    every cell of a one-cell row takes the per-cell writer."""
+    alone = width == 1
+    return _Layout(
+        width,
+        {} if alone else _CSV_SPECS,
+        functools.partial(_csv_cell, alone=alone),
+        functools.cache(lambda specs: ",".join(spec or "%s" for spec in specs) + "\n"),
+        "",
+    )
+
+
+def _column_spec(cells: tuple, specs: dict) -> str | None:
+    """The % spec that writes every one of a column's cells, or None if each
+    takes the per-cell writer: the cells differ in type, their type has no
+    spec, or the spec is %r and a cell is NaN or infinite, which json writes
+    as NaN or Infinity. A sum of finite floats that overflows sends them to
+    the per-cell writer too, which writes the same text."""
+    types = set(map(type, cells))
+    spec = specs.get(types.pop()) if len(types) == 1 else None
+    if spec == "%r" and not math.isfinite(sum(cells)):
+        return None
+    return spec
+
+
+def _texts(rows, layout: _Layout):
+    """Yield the text of rows, tuples of layout.width cells, _ROWS_PER_CHUNK
+    at a time. A chunk is one % call on its flattened cells, with a template
+    of one row template, built once per tuple of column specs, per row; a
+    column without a spec is passed through layout.cell first. A row of
+    another width raises ValueError naming its index."""
+    rows = iter(rows)
+    start = 0
+    while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
+        count = len(chunk)
+        if set(map(len, chunk)) != {layout.width}:
+            i = next(i for i, row in enumerate(chunk) if len(row) != layout.width)
+            raise ValueError(f"row {start + i}: {len(chunk[i])} cells under {layout.width} columns")
+        columns = list(zip(*chunk))
+        specs = tuple(_column_spec(cells, layout.specs) for cells in columns)
+        if None in specs:
+            chunk = zip(*(cells if spec else map(layout.cell, cells) for cells, spec in zip(columns, specs)))
+        template = layout.sep.join(itertools.repeat(layout.row(specs), count))
+        yield template % tuple(itertools.chain.from_iterable(chunk))
+        start += count
 
 
 def _emit(columns, rows, meta, fmt, out, csv_trailer=()):
     """Stream rows, tuples of scalars under `columns`, as CSV or JSON.
 
     `rows` is any iterable, consumed once and written _ROWS_PER_CHUNK rows
-    at a time, so the text is never held whole. CSV is the header, then
-    each row and csv_trailer row as _csv_lines writes it: the bytes of
-    csv.writer(lineterminator="\n") on the cells as _csv_format formats
-    them. JSON is the bytes of json.dumps({"meta": meta, "rows":
-    [dict(zip(columns, row)), ...]}, indent=2) plus a newline. Each chunk
-    of rows is one C-encoded list whose row boundaries are then laid out
-    as indent=2 lays them out: a row's values are scalars and the encoder
-    escapes every newline in a string, so "},<separator>{" occurs only
-    between two rows, and both encoders write scalars with the same
-    functions. An --out file that cannot be opened is a usage error; a
-    failed write is not.
+    at a time by _texts, so the text is never held whole. Every row has one
+    cell per column; a row that does not raises ValueError. CSV is the bytes
+    of csv.writer(lineterminator="\n") on the header, the rows and the
+    csv_trailer rows, which may be of any width, each float cell written
+    with 10 significant digits. JSON is the bytes of json.dumps({"meta":
+    meta, "rows": [dict(zip(columns, row)), ...]}, indent=2) plus a
+    newline; `columns` are distinct. An --out file that cannot be opened
+    is a usage error; a failed write is not.
     """
-    rows = iter(rows)
     try:
         dest = out.open("w") if out is not None else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -261,17 +296,16 @@ def _emit(columns, rows, meta, fmt, out, csv_trailer=()):
         if fmt == "json":
             # Drop the head's closing "\n}"; the rows list closes the document.
             f.write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
-            sep = "\n"
-            while chunk := [dict(zip(columns, row)) for row in itertools.islice(rows, _ROWS_PER_CHUNK)]:
-                text = _ROW_ENCODER.encode(chunk)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-                f.write(sep + "    {\n      " + text + "\n    }")
-                sep = ",\n"
-            f.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+            sep = "\n    "
+            for text in _texts(rows, _json_layout(columns)):
+                f.write(sep + text)
+                sep = ",\n    "
+            f.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
             return
         f.write(_CSV_LINE(columns))
-        lines = _csv_lines(itertools.chain(rows, csv_trailer))
-        while text := "".join(itertools.islice(lines, _ROWS_PER_CHUNK)):
-            f.write(text)
+        f.writelines(_texts(rows, _csv_layout(len(columns))))
+        for row in csv_trailer:
+            f.writelines(_texts([row], _csv_layout(len(row))))
 
 
 def _initial_probability(config: GroverConfig) -> float:
@@ -389,19 +423,16 @@ def cmd_recurrence(qubits, iterations, fmt, out):
     simulated = (
         simulated_amplitude_series(qubits, iterations)
         if qubits <= RECURRENCE_SIM_MAX_QUBITS
-        else None
+        else itertools.repeat(None)
     )
     columns = ("iteration", "amplitude_recurrence", "amplitude_statevector", "ratio", "model_ratio")
-    rows = (
-        (
-            i,
-            a,
-            simulated[i - 1] if simulated is not None else None,
-            table[i] / a if i < len(table) and a != 0.0 else None,
-            # Int true division rounds the exact ratio correctly; no Fraction needed.
-            (2 * i + 1) / (2 * i - 1),
-        )
-        for i, a in enumerate(table, start=1)
+    rows = zip(
+        itertools.count(1),
+        table,
+        simulated,
+        itertools.chain((b / a if a != 0.0 else None for a, b in zip(table, itertools.islice(table, 1, None))), [None]),
+        # (2i+1)/(2i-1): int true division rounds the exact ratio correctly; no Fraction needed.
+        map(operator.truediv, itertools.count(3, 2), itertools.count(1, 2)),
     )
     meta = _base_meta("recurrence")
     meta.update(qubits=qubits, iterations=iterations)

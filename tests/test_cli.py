@@ -309,6 +309,29 @@ class TestRecurrenceCommand:
         _, rows = csv_rows(result.output)
         assert rows[0]["amplitude_statevector"] != ""
 
+    def test_benchmark_window_csv_is_its_json_to_10_digits(self, cli):
+        # recurrence-long's two commands: the JSON is indent=2 text, and each
+        # CSV line renders the matching JSON row, ratio-less last row included.
+        args = ("recurrence", "--qubits", 30, "--iterations", 51474)
+        text = cli(*args, "--format", "json").output
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        rows = doc["rows"]
+        assert len(rows) == 51474 and rows[-1]["ratio"] is None
+        lines = cli(*args).output.split("\n")
+        assert lines[0] == ",".join(rows[0]) and lines[-1] == ""
+        assert len(lines) == len(rows) + 2
+
+        def cell(value) -> str:
+            if value is None:
+                return ""
+            return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+        mismatched = [
+            (line, row) for line, row in zip(lines[1:], rows) if line != ",".join(cell(v) for v in row.values())
+        ]
+        assert mismatched == []
+
     def test_model_ratio_is_the_exact_ratio_rounded(self):
         # the model_ratio column's float form, over the benchmark's n = 30 window
         for i in range(1, 51475):
@@ -453,17 +476,21 @@ class TestFormatsAndDeterminism:
 
 
 # Scalars of every JSON kind, with the strings that could be mistaken for
-# the layout the rows are placed in.
+# the layout the rows are placed in or for a % spec, and the cells a row
+# template would write unlike json: bool (not %d), NaN and the infinities
+# and numpy.float64 (not %r).
 json_scalars = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(np.float64),
+    st.sampled_from([np.float64(0.1), np.float64("nan"), np.float64("inf"), np.float64("-inf"), np.float64(-0.0)]),
     st.booleans(),
     st.none(),
     st.text(),
-    st.sampled_from(['"', "\\", "\n", "}", ",\n      {", "\n    },\n    {", "ñ €𝄞"]),
+    st.sampled_from(['"', "\\", "\n", "}", ",\n      {", "\n    },\n    {", "ñ €𝄞", "%s", "%d%%"]),
 )
-json_keys = st.one_of(st.text(max_size=8), st.sampled_from(['a"b', "k\\", "x\ny", "é"]))
+json_keys = st.one_of(st.text(max_size=8), st.sampled_from(['a"b', "k\\", "x\ny", "é", "%", "%%", "%s"]))
 
 
 def draw_rows(draw, columns, cells, max_rows):
@@ -567,6 +594,12 @@ class CountingRows:
 class TestEmit:
     @settings(max_examples=200, deadline=None)
     @given(table=flat_rows(), meta=json_meta)
+    @example(table=(("i", "x"), [(1, 0.5), (True, math.nan), (False, math.inf)]), meta={"command": "", "notes": []})
+    @example(table=(("x",), [(math.nan,), (-math.inf,)]), meta={"command": "", "notes": []})
+    @example(
+        table=(("%", "%%", "%s"), [(np.float64(0.1), np.float64("nan"), np.float64(-0.0)), (1, 2.5, None)]),
+        meta={"command": "%s", "notes": []},
+    )
     def test_json_is_json_dumps_indent_2(self, tmp_path_factory, table, meta):
         columns, rows = table
         target = tmp_path_factory.mktemp("emit") / "out.json"
@@ -598,6 +631,56 @@ class TestEmit:
         cli_module._emit(columns, rows, {"command": "test"}, "json", target)
         expected = {"meta": {"command": "test"}, "rows": json_rows(columns, rows)}
         assert target.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_csv_chunk_boundaries(self, tmp_path, count):
+        columns = ("i", "x", "s", "none")
+        rows = [(i, i / 7, ["a,b", '"', "%s"][i % 3], None) for i in range(count)]
+        trailer = [("mean", "", 2.25)]
+        target = tmp_path / "rows.csv"
+        cli_module._emit(columns, rows, {}, "csv", target, csv_trailer=trailer)
+        with target.open(newline="") as f:
+            assert f.read() == reference_csv(columns, rows, trailer)
+
+    # A column's cells of one type and then, from row `at` on, of another.
+    TYPE_CHANGES = {
+        "float-none": (0.1, None),
+        "int-bool": (7, True),
+        "float-nan": (0.1, math.nan),
+        "float-str": (0.1, "0.1"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("change", TYPE_CHANGES)
+    @pytest.mark.parametrize("at", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_type_change_at_chunk_boundary(self, tmp_path, fmt, change, at):
+        before, after = self.TYPE_CHANGES[change]
+        columns = ("i", "x")
+        rows = [(i, before if i < at else after) for i in range(2 * self.CHUNK + 2)]
+        target = tmp_path / f"rows.{fmt}"
+        cli_module._emit(columns, rows, {"command": "test"}, fmt, target)
+        with target.open(newline="") as f:
+            text = f.read()
+        if fmt == "json":
+            expected = {"meta": {"command": "test"}, "rows": json_rows(columns, rows)}
+            assert text == json.dumps(expected, indent=2) + "\n"
+        else:
+            assert text == reference_csv(columns, rows, [])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("at, width", [(0, 1), (1, 3), (CHUNK + 3, 1)])
+    def test_row_of_another_width_raises(self, tmp_path, fmt, at, width):
+        # dict(zip(columns, row)) would drop a long row's extra cells and
+        # a short row's missing keys; the row is refused instead.
+        rows = [(i, i / 7) for i in range(2 * self.CHUNK)]
+        rows[at] = rows[at][:1] + (0.5,) * (width - 1)
+        with pytest.raises(ValueError, match=f"^row {at}: {width} cells under 2 columns$"):
+            cli_module._emit(("i", "x"), rows, {}, fmt, tmp_path / "rows")
+
+    def test_csv_trailer_rows_keep_their_width(self, tmp_path):
+        trailer = [("mean",), ("mean", "", "", 2.25)]
+        cli_module._emit(("i", "x"), [(1, 0.5)], {}, "csv", tmp_path / "rows", csv_trailer=trailer)
+        assert (tmp_path / "rows").read_text() == 'i,x\n1,0.5\nmean\nmean,,,2.25\n'
 
     # angle_table_large.csv runs the same command as angle_table.csv, through
     # the same emit path, with an n = 13..20 search that takes seconds.

@@ -3,6 +3,7 @@ files it runs exist, and its Python versions are ones the package
 supports. No workflow step is run."""
 
 import functools
+import importlib.util
 import os
 import re
 import shlex
@@ -88,3 +89,34 @@ def test_matrix_versions_satisfy_requires_python():
     low = tuple(map(int, floor.groups()))
     assert [v for v in versions if tuple(map(int, v)) < low] == []
     assert (str(low[0]), str(low[1])) in versions
+
+
+def load_replay_ci():
+    spec = importlib.util.spec_from_file_location("replay_ci", REPO_DIR / "scripts" / "replay_ci.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_runs_every_run_step_but_install():
+    yaml = pytest.importorskip("yaml")  # the replay reads the workflow with PyYAML, as CI does not
+    replay = load_replay_ci()
+    jobs = yaml.safe_load(WORKFLOW)["jobs"]
+    assert {name: replay.job_versions(job) for name, job in jobs.items()} == {
+        "test": ["3.10", "3.12", "3.13"],
+        "results-without-fma": ["3.12"],
+    }
+    for job in jobs.values():
+        names = [step["name"] for step in job["steps"] if "run" in step]
+        assert "Install" in names
+        assert [step["name"] for step in replay.run_steps(job)] == [n for n in names if n != "Install"]
+
+
+def test_replay_shims_run_the_checkout(tmp_path):
+    load_replay_ci().write_shims(tmp_path, sys.executable)
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"), PATH=f"{tmp_path}{os.pathsep}{os.environ['PATH']}")
+    done = subprocess.run(["groversim", "--version"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("groversim")
+    done = subprocess.run(["python", "-c", "import sys; print(sys.executable)"], env=env, capture_output=True, text=True)
+    assert done.stdout.strip() == sys.executable
