@@ -255,10 +255,10 @@ def _column_spec(cells: tuple, specs: dict) -> str | None:
 
 def _texts(rows, layout: _Layout):
     """Yield the text of rows, tuples of layout.width cells, _ROWS_PER_CHUNK
-    at a time. A chunk is one % call on its flattened cells, with a template
-    of one row template, built once per tuple of column specs, per row; a
-    column without a spec is passed through layout.cell first. A row of
-    another width raises ValueError naming its index."""
+    at a time. A chunk is one % call on its flattened cells. Its template
+    repeats the row template of its column specs, built once per tuple of
+    specs; a column without a spec is passed through layout.cell first. A
+    row of another width raises ValueError naming its index."""
     rows = iter(rows)
     start = 0
     while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
@@ -426,11 +426,12 @@ def cmd_recurrence(qubits, iterations, fmt, out):
         else itertools.repeat(None)
     )
     columns = ("iteration", "amplitude_recurrence", "amplitude_statevector", "ratio", "model_ratio")
+    ratios = (b / a if a != 0.0 else None for a, b in zip(table, itertools.islice(table, 1, None)))
     rows = zip(
         itertools.count(1),
         table,
         simulated,
-        itertools.chain((b / a if a != 0.0 else None for a, b in zip(table, itertools.islice(table, 1, None))), [None]),
+        itertools.chain(ratios, [None]),
         # (2i+1)/(2i-1): int true division rounds the exact ratio correctly; no Fraction needed.
         map(operator.truediv, itertools.count(3, 2), itertools.count(1, 2)),
     )

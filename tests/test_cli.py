@@ -596,6 +596,7 @@ class TestEmit:
     @given(table=flat_rows(), meta=json_meta)
     @example(table=(("i", "x"), [(1, 0.5), (True, math.nan), (False, math.inf)]), meta={"command": "", "notes": []})
     @example(table=(("x",), [(math.nan,), (-math.inf,)]), meta={"command": "", "notes": []})
+    @example(table=((), [(), ()]), meta={"command": "", "notes": []})
     @example(
         table=(("%", "%%", "%s"), [(np.float64(0.1), np.float64("nan"), np.float64(-0.0)), (1, 2.5, None)]),
         meta={"command": "%s", "notes": []},
