@@ -196,7 +196,7 @@ _JSON_SPECS = {int: "%d", float: "%r", type(None): "%.0snull"}
 _CSV_SPECS = {int: "%d", float: "%.10g", type(None): "%.0s"}
 
 
-def _csv_cell(value, alone: bool = False) -> str:
+def _csv_cell(value, alone: bool) -> str:
     """value as a CSV cell: a float with 10 significant digits, any other
     value as csv writes it, as a row's only cell or among others."""
     if isinstance(value, float):
