@@ -86,7 +86,6 @@ def replay(job_name: str, job: dict, python: str, label: str) -> bool:
         RUNNER_TEMP=str(runner_temp),
         PYTHONPATH=str(work / "src"),
         PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
-        **job.get("env", {}),
     )
     passed = True
     try:
@@ -101,7 +100,7 @@ def replay(job_name: str, job: dict, python: str, label: str) -> bool:
             done = subprocess.run(
                 ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(script)],
                 cwd=work,
-                env={**env, **step.get("env", {})},
+                env=env,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 text=True,

@@ -614,6 +614,7 @@ class TestEmit:
     @example(table=(("x", "y"), [("a\rb", "%s"), (True, np.float64("nan"))], []))
     @example(table=(IterationRecord._fields, [IterationRecord(1, 0.0, 0.25, -0.0)], []))
     @example(table=(("n", "ratio"), [], [("mean", 2.25)]))
+    @example(table=(("i", "x"), [(1, 0.5)], [("mean",), ("mean", "", "", 2.25)]))
     def test_csv_matches_csv_writer(self, tmp_path_factory, table):
         columns, rows, trailer = table
         target = tmp_path_factory.mktemp("emit") / "out.csv"
@@ -677,11 +678,6 @@ class TestEmit:
         rows[at] = rows[at][:1] + (0.5,) * (width - 1)
         with pytest.raises(ValueError, match=f"^row {at}: {width} cells under 2 columns$"):
             cli_module._emit(("i", "x"), rows, {}, fmt, tmp_path / "rows")
-
-    def test_csv_trailer_rows_keep_their_width(self, tmp_path):
-        trailer = [("mean",), ("mean", "", "", 2.25)]
-        cli_module._emit(("i", "x"), [(1, 0.5)], {}, "csv", tmp_path / "rows", csv_trailer=trailer)
-        assert (tmp_path / "rows").read_text() == 'i,x\n1,0.5\nmean\nmean,,,2.25\n'
 
     # angle_table_large.csv runs the same command as angle_table.csv, through
     # the same emit path, with an n = 13..20 search that takes seconds.
