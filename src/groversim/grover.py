@@ -14,7 +14,11 @@ iterate_grover builds the views of its two buffers once per register
 share a run store: each iteration is simulated once per process, and a
 later reader yields the stored records and resumes the paused register.
 The store is bounded: at most 256 KiB of paused registers, none past
-n = 13, and 1 MiB of records.
+n = 13, and 1 MiB of records. The registers it may pause (n <= 13) run
+in bit-reversed order, where each Hadamard layer reads two contiguous
+half-register streams, and are read out in natural order; larger ones
+run in natural order (_layer_views gives both plans and the bound's
+reasons). The records are the same bytes either way.
 
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
@@ -27,6 +31,7 @@ Gates are 2x2 float64 arrays, row-major.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Iterator
@@ -191,10 +196,12 @@ def _diffuse(src: np.ndarray, views: tuple, m: np.ndarray, target: int) -> np.nd
     diffusion, equal up to an overall sign to the mean form
     analysis.standard_diffusion_mean. X^n C-U X^n is m acting on the
     amplitude pair (2**target, 0) alone, so that pair is updated between
-    the two H^n. X's 0/1 matmul moves amplitudes exactly, so the result is
+    the two H^n; it sits at views' one_hot[target] and 0 in the register's
+    layout. X's 0/1 matmul moves amplitudes exactly, so the result is
     byte-identical to the real part of the gate-by-gate circuit of
-    tests/oracle.py, which runs on a complex copy of src (up to the one
-    exception _hadamard_layers states).
+    tests/oracle.py, which runs on a complex copy of src (in the
+    bit-reversed plan, permuted alike; up to the one exception
+    _hadamard_layers states).
 
     The pair update is _rotate_pair, which the angle search shares.
 
@@ -204,7 +211,8 @@ def _diffuse(src: np.ndarray, views: tuple, m: np.ndarray, target: int) -> np.nd
     """
     opening, closing = views
     amps = _hadamard_layers(src, opening)
-    amps[1 << target], amps[0] = _rotate_pair(m, amps[1 << target], amps[0])
+    pair = opening.one_hot[target]
+    amps[pair], amps[0] = _rotate_pair(m, amps[pair], amps[0])
     return _hadamard_layers(amps, closing)
 
 
@@ -226,79 +234,122 @@ class _Layers(NamedTuple):
     first: tuple
     rest: tuple
     result: np.ndarray
+    one_hot: tuple  # one_hot[q]: where basis index 2**q sits in the buffers
 
 
-def _layer_views(scaled: np.ndarray, other: np.ndarray, *, last_entry: bool = False) -> _Layers:
-    """The views of H^n on two float64, C-contiguous (N,) buffers: layer 0
-    scales its source into `scaled` and applies `first`, (signs, source
-    view, destination view), writing other; layer q >= 1 applies HADAMARD
-    to the pair rest[q - 1], alternating between the buffers; the last
-    writes `result`.
+def _layer_views(
+    scaled: np.ndarray, other: np.ndarray, *, last_entry: bool = False, bit_reversed: bool = False
+) -> _Layers:
+    """The views of H^n on two float64, C-contiguous (N,) buffers as
+    (a, b, out) triples of np.matmul: layer 0 scales its source into
+    `scaled` and applies `first`, with _SIGNS for HADAMARD, writing other;
+    layer q >= 1 applies rest[q - 1], alternating between the buffers; the
+    last writes `result`. Both plans take qubits 0..n-1 in order.
 
-    Layer q reads the current layout's lowest bit, which is always bit q,
-    and writes it as the top bit: its source viewed as (N/2, 2) and
-    transposed is a (2, N/2) operand that BLAS reads with leading
-    dimension 2, and its destination viewed as (2, N/2) takes both halves,
-    so one gemm computes the layer with no copy. After n layers the layout
-    is natural again.
+    The natural plan holds the register in natural order. Layer q reads
+    the current layout's lowest bit, which is always bit q, and writes it
+    as the top bit: its source viewed as (N/2, 2) and transposed is a
+    (2, N/2) operand that BLAS reads with leading dimension 2, and its
+    destination viewed as (2, N/2) takes both halves, so one gemm computes
+    the layer with no copy. After n layers the layout is natural again.
 
-    With last_entry, the views are windows that compute only entry N - 1
-    of the result (the rest is scratch). Each layer moves the lowest index
-    bit to the top, so the m = N >> (q+1) entries layer q must deliver are
-    row 1 of its product on its last 2m inputs: layer 0 takes row 1 of its
-    signs, and m never drops below 2, so the later layers stay gemms.
+    With bit_reversed, the buffers hold the register in bit-reversed order
+    (Pease's constant-geometry butterfly): layer q reads the top bit,
+    which is always bit q, from the two contiguous halves of its source,
+    the rows of a (2, N/2) operand whose transpose multiplies HADAMARD,
+    and writes it as the lowest bit through its destination viewed as
+    (N/2, 2). After n layers the layout is bit-reversed again. Each output
+    entry is the same two-term product as in the natural plan, so the two
+    plans' bytes are equal. iterate_grover takes it for the registers the
+    run store may pause (n <= 13, _RunStore.REGISTER_BYTES), where it is
+    faster. Larger registers keep the natural
+    plan, for two reasons: the reversed readout gathers through an index
+    array as large as the register, a third register beside the run's
+    two, and from n = 19 on the reversed layers run 1.9x slower.
+
+    With last_entry (natural plan only), the views are windows that
+    compute only entry N - 1 of the result (the rest is scratch). Each
+    layer moves the lowest index bit to the top, so the m = N >> (q+1)
+    entries layer q must deliver are row 1 of its product on its last 2m
+    inputs: layer 0 takes row 1 of its signs, and m never drops below 2,
+    so the later layers stay gemms.
     """
     size = scaled.size
     half = size >> 1
-    rows = slice(1, 2) if last_entry else slice(None)
+    count = size.bit_length() - 1
     buffers = (scaled, other)
-    first = (_SIGNS[rows], scaled.reshape(half, 2).T, other.reshape(2, half)[rows])
-    rest = []
-    for q in range(1, size.bit_length() - 1):
-        m = max(2, size >> (q + 1)) if last_entry else half
-        x, y = buffers[q % 2][-2 * m :], buffers[(q + 1) % 2][-2 * m :]
-        rest.append((x.reshape(m, 2).T, y.reshape(2, m)))
-    return _Layers(scaled, first, tuple(rest), buffers[(size.bit_length() - 1) % 2])
+    if bit_reversed:
+        layers = [
+            (buffers[q % 2].reshape(2, half).T, HADAMARD, buffers[(q + 1) % 2].reshape(half, 2))
+            for q in range(count)
+        ]
+        first = (layers[0][0], _SIGNS, layers[0][2])
+        one_hot = tuple(half >> q for q in range(count))
+    else:
+        rows = slice(1, 2) if last_entry else slice(None)
+        layers = []
+        for q in range(count):
+            m = max(2, size >> (q + 1)) if last_entry and q else half
+            x, y = buffers[q % 2][-2 * m :], buffers[(q + 1) % 2][-2 * m :]
+            layers.append((HADAMARD, x.reshape(m, 2).T, y.reshape(2, m)))
+        first = (_SIGNS[rows], layers[0][1], layers[0][2][rows])
+        one_hot = tuple(1 << q for q in range(count))
+    return _Layers(scaled, first, tuple(layers[1:]), buffers[count % 2], one_hot)
 
 
-def _diffusion_views(register: np.ndarray, other: np.ndarray) -> tuple[_Layers, _Layers]:
+def _diffusion_views(
+    register: np.ndarray, other: np.ndarray, *, bit_reversed: bool = False
+) -> tuple[_Layers, _Layers]:
     """The views of _diffuse: the opening H^n from register, ending in
     register or other as the parity of n gives, and the closing H^n from
-    there back into register."""
-    opening = _layer_views(register, other)
+    there back into register, both in the plan bit_reversed names."""
+    opening = _layer_views(register, other, bit_reversed=bit_reversed)
     if opening.result is register:
         return opening, opening
-    return opening, _layer_views(other, register)
+    return opening, _layer_views(other, register, bit_reversed=bit_reversed)
 
 
 def _hadamard_layers(src: np.ndarray, layers: _Layers) -> np.ndarray:
-    """H^n of src through the prebuilt views of _layer_views; returns
+    """H^n of src through the prebuilt views of _layer_views, in src's
+    layout (natural or bit-reversed, as the views were built); returns
     layers.result.
 
     The result is byte-identical to the real part of tests/oracle.py's
-    per-qubit kernel applying H to qubits 0..n-1 of a complex copy of src.
-    (The one exception is the sign of exact zeros at n = 2, where the
-    complex (2,2)@(2,2) gemm's edge kernel can return -0.0 for a zero sum
-    that IEEE arithmetic, and the real gemm, return as +0.0; no
-    probability depends on it.)
+    per-qubit kernel applying H to qubits 0..n-1 of a complex copy of src
+    (permuted alike in the bit-reversed plan). (The one exception is the
+    sign of exact zeros at n = 2, where the complex (2,2)@(2,2) gemm's
+    edge kernel can return -0.0 for a zero sum that IEEE arithmetic, and
+    the real gemm, return as +0.0; no probability depends on it.)
 
     The per-qubit kernel's layer q is 2**(n-1-q) products (2,2)@(2,2**q);
-    for q >= 1 one (2,2)@(2,N/2) product computes every output entry with
-    the same arithmetic. For q = 0 numpy takes the matrix-vector route,
-    whose entries are fl(fl(h*x0) +- fl(h*x1)), h = HADAMARD[0, 0], and
-    never -0.0 (gemv adds its sums to a zeroed y). Layer 0 scales src by h
-    in one pass into layers.scaled, which may be src itself (its content
-    is then dead; else src is only read), applies _SIGNS to the scaled
-    pairs in one gemm and adds 0.0: products by +-1 are exact, so any BLAS
-    rounds each entry once, FMA or not.
+    for q >= 1 one (2,2)@(2,N/2) product, or its transpose
+    (N/2,2)@(2,2) in the bit-reversed plan, computes every output entry
+    with the same arithmetic. For q = 0 numpy takes the matrix-vector
+    route, whose entries are fl(fl(h*x0) +- fl(h*x1)), h = HADAMARD[0, 0],
+    and never -0.0 (gemv adds its sums to a zeroed y). Layer 0 scales src
+    by h in one pass into layers.scaled, which may be src itself (its
+    content is then dead; else src is only read), applies _SIGNS to the
+    scaled pairs in one gemm and adds 0.0: products by +-1 are exact, so
+    any BLAS rounds each entry once, FMA or not.
     """
-    scaled, (signs, x, y), rest, result = layers
+    scaled, (a, b, y), rest, result, _ = layers
     np.multiply(HADAMARD[0, 0], src, out=scaled)
-    np.matmul(signs, x, out=y)
+    np.matmul(a, b, out=y)
     y += 0.0
-    for x, y in rest:
-        np.matmul(HADAMARD, x, out=y)
+    for a, b, y in rest:
+        np.matmul(a, b, out=y)
     return result
+
+
+@functools.cache
+def _bit_reversal(n_qubits: int) -> np.ndarray:
+    """The index array taking each basis index to its bit reversal over
+    n_qubits bits; it is its own inverse. It stays writeable, since take
+    would copy a read-only index array on every call; nothing writes it."""
+    perm = np.zeros(1, dtype=np.intp)
+    for _ in range(n_qubits):
+        perm = np.concatenate((2 * perm, 2 * perm + 1))
+    return perm
 
 
 def n_optimal_standard(n_qubits: int, marked_count: int) -> int:
@@ -507,16 +558,23 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
 
     A reader that simulates owns two float64 register-sized buffers and
     builds their views once (_diffusion_views): the oracle negates the
-    marked amplitudes in place, and _diffuse works in the two buffers.
-    The records are byte-identical to those of
+    marked amplitudes in place, and _diffuse works in the two buffers. A
+    register the store may pause (n <= 13) is held bit-reversed, paused
+    that way too, and each readout gathers it into natural order in the
+    spare buffer through _bit_reversal's cached index array; larger ones
+    are held in natural order. The records are byte-identical to those of
     re-simulating each iteration with the oracle, diffusion and readout of
     tests/oracle.py on a complex register. GroverConfig stores the marked
     indices sorted, so the readout sums them in ascending order, and the
-    rotation target resolved (None as n - 1).
+    rotation target resolved (None as n - 1). The mean is np.mean's
+    pairwise sum over the natural order, divided by N.
     """
     n = config.n_qubits
     schedule = config.schedule
     marked = np.array(config.marked, dtype=np.int64)
+    # The registers the store may pause run bit-reversed (_layer_views).
+    reversal = _bit_reversal(n) if 8 << n <= _RunStore.REGISTER_BYTES else None
+    flips = marked if reversal is None else reversal[marked]
     key = (n, config.marked, schedule)
     done, amps = 0, None  # this reader's register holds `done` iterations
     try:
@@ -527,7 +585,8 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
                     taken = _STORE.take(key, done, i - 1)
                     if taken is not None or amps is None:
                         done, amps = taken or (0, uniform_superposition(n))
-                        views = _diffusion_views(amps, np.empty_like(amps))
+                        spare = np.empty_like(amps)
+                        views = _diffusion_views(amps, spare, bit_reversed=reversal is not None)
                         gate = None
                     while done < i:
                         done += 1
@@ -535,18 +594,19 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
                         # (Schedule.step).
                         if gate is None or done <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
                             theta, gate = schedule.step(n, done)
-                        amps[marked] *= -1.0
+                        amps[flips] *= -1.0
                         amps = _diffuse(amps, views, gate, schedule.rotation_target)
                         total = float(np.vdot(amps, amps))
                         if not abs(total - 1.0) < 1e-10:
                             raise NormDriftError(
                                 f"statevector norm drifted to {total!r} at iteration {done}"
                             )
+                    natural = amps if reversal is None else amps.take(reversal, out=spare, mode="clip")
                     record = IterationRecord(
                         iteration=i,
                         theta_used=theta,
-                        target_probability=_probability(amps, marked),
-                        mean_amplitude=float(np.mean(amps)),
+                        target_probability=_probability(natural, marked),
+                        mean_amplitude=float(np.add.reduce(natural)) / natural.size,
                     )
                 except BaseException:
                     amps = None

@@ -298,6 +298,25 @@ class TestDiffusion:
         register = 8 << 16  # float64 amplitudes
         assert peak - start <= 2 * register + 64 * 1024
 
+    @pytest.mark.parametrize("schedule", [Schedule(), Schedule(ScheduleKind.HYBRID)], ids=Schedule.describe)
+    def test_bit_reversed_run_peak_memory_is_two_registers(self, schedule):
+        # At n = 13 the run is bit-reversed and each readout gathers the
+        # register into natural order in the scratch buffer, through the
+        # index array cached per n: no third register, not even a copy of
+        # that array (take copies a read-only one).
+        grover._bit_reversal(13)
+        config = GroverConfig(13, None, schedule, 4)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            records = list(iterate_grover(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4
+        register = 8 << 13
+        assert peak - start <= 2 * register + register // 2
+
 
 def layer_test_amps(family, n, rng):
     dim = 1 << n
@@ -422,6 +441,45 @@ class TestHadamardLayers:
             assert grover._diffuse(register, views, gate, target) is register
             state = modified_diffusion(state, gate, target)
             assert register.tobytes() == np.ascontiguousarray(state.amps.real).tobytes()
+
+    @pytest.mark.parametrize(
+        "family, n", itertools.product(["real", "wide-range", "flipped-uniform", "signed-zero-basis"], range(1, 14))
+    )
+    def test_bit_reversed_plan_equals_natural_plan_bytewise(self, family, n):
+        # The run's plan up to n = 13: H^n of the bit-reversed register is
+        # the natural plan's H^n, bit-reversed, out of place and in place.
+        amps = layer_test_amps(family, n, np.random.default_rng(500 + n))
+        rev = grover._bit_reversal(n)
+        expected, _ = hadamard(amps, np.empty_like(amps), np.empty_like(amps))
+        src = amps[rev]
+        scaled, other = np.empty_like(amps), np.empty_like(amps)
+        views = grover._layer_views(scaled, other, bit_reversed=True)
+        result = grover._hadamard_layers(src, views)
+        assert result is views.result is (other if n % 2 else scaled)
+        assert result.tobytes() == expected[rev].tobytes()
+        assert src.tobytes() == amps[rev].tobytes()
+        scaled[:] = src
+        assert grover._hadamard_layers(scaled, views).tobytes() == expected[rev].tobytes()
+
+    @pytest.mark.parametrize(
+        "family, n", itertools.product(["real", "wide-range", "flipped-uniform", "signed-zero-basis"], range(1, 14))
+    )
+    def test_bit_reversed_diffusion_views_serve_every_iteration_bytewise(self, family, n):
+        # The run loop's form up to n = 13: one bit-reversed
+        # _diffusion_views per run, each diffusion in place, checked in
+        # natural order against the gate-by-gate circuit after every step.
+        rng = np.random.default_rng(600 + n)
+        amps = layer_test_amps(family, n, rng)
+        rev = grover._bit_reversal(n)
+        register = amps[rev]
+        views = grover._diffusion_views(register, np.empty_like(register), bit_reversed=True)
+        state = StateVector(n, amps.copy())
+        for inner_gate in [gate_zr_y, gate_ry_h, gate_hr_y, gate_zr_y]:
+            target = int(rng.integers(n))
+            gate = inner_gate(float(rng.uniform(-math.pi, math.pi)))
+            assert grover._diffuse(register, views, gate, target) is register
+            state = modified_diffusion(state, gate, target)
+            assert_real_part_bytes(register[rev], state)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 13])
     def test_reused_last_entry_views_bytewise(self, n):
@@ -576,6 +634,24 @@ class TestIterateGrover:
         indices = {"all-ones": {(1 << n) - 1}, "1,5": {1, 5}, "pair": {0, 1 << target}}[marked]
         config = GroverConfig(n, indices, schedule)
         assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_records_equal_oracle_on_either_side_of_the_plan_bound(self, monkeypatch, schedule, n):
+        # n = 13 runs bit-reversed, n = 14 in natural order. The marked
+        # set holds the pair (2**t, 0) and indices that bit reversal moves.
+        plans = []
+        real = grover._diffusion_views
+
+        def spied(*args, **kwargs):
+            plans.append(kwargs.get("bit_reversed", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grover, "_diffusion_views", spied)
+        target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
+        config = GroverConfig(n, {0, 1, 1 << target, (1 << n) - 2}, schedule, 8)
+        assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
+        assert plans == [n <= 13]
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     def test_stopping_early_yields_a_prefix(self, schedule):
