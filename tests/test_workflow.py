@@ -62,15 +62,20 @@ def test_every_selection_collects_tests(words):
 
 def test_no_fma_selection_covers_the_kernel_view_plans():
     # The job without FMA must check that a run's prebuilt views, reused
-    # call after call, still give the per-qubit kernel's bytes.
+    # call after call, still give the per-qubit kernel's bytes, in both
+    # plans, and that runs on either side of the plans' bound keep the
+    # oracle's records.
     (words,) = [w for w in SELECTIONS if any(word.startswith("OPENBLAS_CORETYPE=") for word in w)]
     ids = collected(words)
     for name in [
-        "test_reused_views_equal_per_qubit_kernel_bytewise",
-        "test_diffusion_views_serve_every_iteration_bytewise",
-        "test_reused_last_entry_views_bytewise",
+        "TestHadamardLayers::test_reused_views_equal_per_qubit_kernel_bytewise",
+        "TestHadamardLayers::test_diffusion_views_serve_every_iteration_bytewise",
+        "TestHadamardLayers::test_reused_last_entry_views_bytewise",
+        "TestHadamardLayers::test_bit_reversed_plan_equals_natural_plan_bytewise",
+        "TestHadamardLayers::test_bit_reversed_diffusion_views_serve_every_iteration_bytewise",
+        "TestIterateGrover::test_records_equal_oracle_on_either_side_of_the_plan_bound",
     ]:
-        assert any(f"::TestHadamardLayers::{name}[" in i for i in ids), name
+        assert any(f"::{name}[" in i for i in ids), name
     assert not any("dgemm_layer_is_fused_multiply_add" in i for i in ids)
 
 
