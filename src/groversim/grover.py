@@ -262,10 +262,10 @@ def _layer_views(
     entry is the same two-term product as in the natural plan, so the two
     plans' bytes are equal. iterate_grover takes it for the registers the
     run store may pause (n <= 13, _RunStore.REGISTER_BYTES), where it is
-    faster. Larger registers keep the natural
-    plan, for two reasons: the reversed readout gathers through an index
-    array as large as the register, a third register beside the run's
-    two, and from n = 19 on the reversed layers run 1.9x slower.
+    faster. Larger registers keep the natural plan, for two reasons: the
+    reversed readout gathers through an index array as large as the
+    register, a third register beside the run's two, and from n = 19 on
+    the reversed layers run about 1.9x slower.
 
     With last_entry (natural plan only), the views are windows that
     compute only entry N - 1 of the result (the rest is scratch). Each
