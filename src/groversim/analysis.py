@@ -14,6 +14,7 @@ runs share every iteration they repeat.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -26,13 +27,13 @@ from .grover import (
     GroverConfig,
     IterationRecord,
     Schedule,
+    _half_angle,
     _hadamard_layers,
     _layer_views,
     _rotate_pair,
-    gate_zr_y,
     iterate_grover,
 )
-from .statevector import SizeLimitError, _integer, _probability, check_register_size, uniform_superposition
+from .statevector import HADAMARD, SizeLimitError, _integer, check_register_size, uniform_superposition
 
 # Grid step and bracket-refinement width for the rotation-angle search.
 SEARCH_GRID_STEP = 1e-3
@@ -161,8 +162,11 @@ def optimal_phase_search(n_qubits: int) -> float:
     loop's diffusion does, so the diffusion's error bound is theirs. With
     u = 2**-53, each H layer entry, fused (fma(h1, x1, h0*x0)) or not,
     with h rounded too, is off by at most 3u(|h0 x0| + |h1 x1|), which
-    adds at most 3*sqrt(2)u < 4.3u to the error of the unit register. The
-    pair rotation and the rounded start 1/sqrt(N) are one such step each,
+    adds at most 3*sqrt(2)u < 4.3u to the error of the unit register. A
+    probe computes only the entries on two paths to the marked one, but
+    each path node is one of those layer entries, rounded the same way,
+    and each other input it reads is the run loop's own entry. The pair
+    rotation and the rounded start 1/sqrt(N) are one such step each,
     so the marked amplitude is off by at most (2n + 2) * 4.3u and f by
     twice that: 2.5e-14 at n = 12, 4.0e-14 at n = 20. g's terms are at
     most 2 in size, its sine and cosine within a few ulps, and
@@ -171,7 +175,7 @@ def optimal_phase_search(n_qubits: int) -> float:
     n_qubits = check_register_size(n_qubits)
     if n_qubits < 2:
         raise ValueError(f"phase search needs at least 2 qubits, got {n_qubits}")
-    grid = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
+    grid = _search_grid()[0]
     screen = _first_iteration_closed_form(n_qubits, grid)
     f = _first_iteration_probability(n_qubits)
     candidates = np.flatnonzero(screen >= screen.max() - 2.0 * _SCREEN_BOUND)
@@ -181,29 +185,79 @@ def optimal_phase_search(n_qubits: int) -> float:
     return _golden_section_max(f, lo, hi, SEARCH_REFINE_TOL)
 
 
+@functools.cache
+def _search_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The search grid over [-pi, pi) and the sine and cosine of its half
+    angles, computed once per process and read-only."""
+    grid = np.arange(-math.pi, math.pi, SEARCH_GRID_STEP)
+    arrays = grid, np.sin(grid / 2.0), np.cos(grid / 2.0)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _first_iteration_probability(n_qubits: int):
     """f(theta) -> marked probability after the oracle and _diffuse with
     gate_zr_y(theta) on qubit n - 1, from the uniform state with index
     2**n - 1 marked, read out as the run loop reads it.
 
-    The opening H^n does not depend on theta, so it runs once, here, as do
-    the views of the close; a probe writes _rotate_pair of its saved pair
-    entries into the opened register and closes only the marked entry's
-    cone (the last_entry windows of _layer_views), in the two buffers the
-    opened register is not.
+    The opening H^n does not depend on theta, so it runs once, here. A
+    probe changes only entries 0 and N/2 of the opened register, and each
+    reaches the marked entry N - 1 of the closing H^n through one node per
+    layer: path A from entry 0 and path B from N/2, in different pairs
+    until the last layer, where they meet. Every sibling a path node is
+    paired with has a subtree without either changed entry, so it does
+    not depend on theta. So the closing H^n also runs once, here, as the
+    marked entry's cone (the last_entry views of _layer_views), and as
+    each layer q >= 1 is about to run, its two path pairs, whose siblings
+    are final by then, are copied out of its operand into `paths`: a
+    column of (path, sibling) rows, (A, B) then their siblings, three rows
+    a layer. A probe rotates the saved pair on floats (_rotate_pair with
+    gate_zr_y's entries), computes layer 0's two path entries as that
+    layer's +-1 gemm rounds them, fl(h*x0 - h*x1) + 0.0 (products by +-1
+    are exact), and runs one (2,2)@(2,2) gemm per later layer, as the cone
+    does. Layer q's result is written over layer q+1's path row, so no
+    value is copied; the last layer reads its path row as a column, where
+    A and B meet. The marked amplitude x is then the one entry the readout
+    sums, and x * x its probability. A probe reads no register: it costs
+    n - 1 tiny products at any n.
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
-    marked = np.array([after_oracle.size - 1])
     half = after_oracle.size >> 1
     first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
     opened = _hadamard_layers(after_oracle, _layer_views(first, second))
     cone = _layer_views(after_oracle, first if opened is second else second, last_entry=True)
-    a0, a1 = opened[half], opened[0]
+    siblings = []
+
+    def read_siblings(layers):
+        # Row 1 of each operand b's columns 0 and m/2: the siblings of
+        # paths A and B (unused at the last layer, where b's column 1 is
+        # the pair (A, B) itself).
+        for a, b, y in layers:
+            siblings.append(b[1, [0, b.shape[1] // 2]])
+            yield a, b, y
+
+    _hadamard_layers(opened, cone._replace(rest=read_siblings(cone.rest)))
+    paths = np.zeros((3 * len(siblings) + 1, 2))
+    paths[1::3] = siblings
+    layers = [(paths[i : i + 2], paths[i + 2 : i + 4]) for i in range(0, len(paths) - 4, 3)]
+    layers.append((paths[-4:-2].T, paths[-2:]))
+    start, marked = paths[0], paths.size - 2
+    h = HADAMARD.item(0)
+    a0, a1 = opened.item(half), opened.item(0)
+    # Layer 0 pairs entry 0 with 1 and N/2 with N/2 + 1, scaled by h first.
+    partner_a, partner_b = h * opened.item(1), h * opened.item(half + 1)
 
     def f(theta: float) -> float:
-        opened[half], opened[0] = _rotate_pair(gate_zr_y(theta), a0, a1)
-        return _probability(_hadamard_layers(opened, cone), marked)
+        c, s = _half_angle(theta)
+        at_half, at_zero = _rotate_pair(((c, s), (s, -c)), a0, a1)
+        start[0] = (h * at_zero - partner_a) + 0.0
+        start[1] = (h * at_half - partner_b) + 0.0
+        for b, y in layers:
+            np.matmul(HADAMARD, b, out=y)
+        x = paths.item(marked)
+        return x * x
 
     return f
 
@@ -214,11 +268,15 @@ def _first_iteration_closed_form(n_qubits: int, thetas: np.ndarray) -> np.ndarra
     In units of 1/sqrt(N), the opening H^n leaves a1 = 1 - 2/N at index 0
     and a0 = 2/N at index 2**(n-1); rotating that pair and closing with H^n
     leaves f1 = a0 - a1 - 1 + s(a0 - a1) - c(a0 + a1) at the marked index,
-    with c, s = cos, sin(theta/2).
+    with c, s = cos, sin(theta/2). For the search grid itself (_search_grid,
+    the same array) c and s are the ones computed once per process.
     """
     big_n = float(1 << n_qubits)
     a1, a0 = 1.0 - 2.0 / big_n, 2.0 / big_n
-    f1 = a0 - a1 - 1.0 + np.sin(thetas / 2.0) * (a0 - a1) - np.cos(thetas / 2.0) * (a0 + a1)
+    grid, sin, cos = _search_grid()
+    if thetas is not grid:
+        sin, cos = np.sin(thetas / 2.0), np.cos(thetas / 2.0)
+    f1 = a0 - a1 - 1.0 + sin * (a0 - a1) - cos * (a0 + a1)
     return f1 * f1 / big_n
 
 

@@ -110,7 +110,9 @@ class Schedule:
     """A diffusion-phase schedule. kind, interpretation and hybrid_order
     take their Enum's member or its value, the CLI token, and store the
     member; rotation_target takes any integer and stores an int, so every
-    Schedule hashes. Anything else is a ValueError."""
+    Schedule hashes. Anything else is a ValueError. The hash is computed
+    once, here: every run-store lookup hashes a Schedule, and the
+    generated __hash__ would hash three Enum members each time."""
 
     kind: ScheduleKind = ScheduleKind.STANDARD
     interpretation: RatioInterpretation = RatioInterpretation.ADDITIVE
@@ -123,6 +125,15 @@ class Schedule:
         object.__setattr__(self, "hybrid_order", HybridOrder(self.hybrid_order))
         if self.rotation_target is not None:
             object.__setattr__(self, "rotation_target", _integer(self.rotation_target, "rotation_target"))
+        fields = self.kind, self.interpretation, self.rotation_target, self.hybrid_order
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Enum hashes differ between processes: rebuild, never copy _hash.
+        return Schedule, (self.kind, self.interpretation, self.rotation_target, self.hybrid_order)
 
     def describe(self) -> str:
         label = self.kind.value
@@ -188,11 +199,12 @@ def adaptive_phase(
     return base + growth
 
 
-def _diffuse(src: np.ndarray, views: tuple, m: np.ndarray, target: int) -> np.ndarray:
+def _diffuse(src: np.ndarray, views: tuple, m, target: int) -> np.ndarray:
     """The diffusion H^n X^n C-U X^n H^n applied to src, with U = m on
     qubit target, controlled by every other qubit.
 
-    Schedule.step picks m; gate_zr_y(0) is exactly Z, giving the standard
+    Schedule.step picks m, which the run loop passes as its rows of floats
+    (_rotate_pair); gate_zr_y(0) is exactly Z, giving the standard
     diffusion, equal up to an overall sign to the mean form
     analysis.standard_diffusion_mean. X^n C-U X^n is m acting on the
     amplitude pair (2**target, 0) alone, so that pair is updated between
@@ -212,15 +224,19 @@ def _diffuse(src: np.ndarray, views: tuple, m: np.ndarray, target: int) -> np.nd
     opening, closing = views
     amps = _hadamard_layers(src, opening)
     pair = opening.one_hot[target]
-    amps[pair], amps[0] = _rotate_pair(m, amps[pair], amps[0])
+    amps[pair], amps[0] = _rotate_pair(m, amps.item(pair), amps.item(0))
     return _hadamard_layers(amps, closing)
 
 
-def _rotate_pair(m: np.ndarray, a0, a1) -> tuple:
-    """m applied to the amplitude pair (a0, a1): the entries for indices
-    2**target and 0 between the diffusion's two H^n."""
+def _rotate_pair(m, a0: float, a1: float) -> tuple[float, float]:
+    """m, the gate's rows ((m00, m01), (m10, m11)) as floats, applied to
+    the amplitude pair (a0, a1): the entries for indices 2**target and 0
+    between the diffusion's two H^n. IEEE double arithmetic is the same on
+    Python floats and numpy scalars, so a float64 array m gives the same
+    bytes, only slower."""
+    (m00, m01), (m10, m11) = m
     # Operand order as in the controlled-gate kernel of tests/oracle.py.
-    return m[0, 0] * a0 + m[0, 1] * a1, m[1, 0] * a0 + m[1, 1] * a1
+    return m00 * a0 + m01 * a1, m10 * a0 + m11 * a1
 
 
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])  # HADAMARD == HADAMARD[0, 0] * _SIGNS exactly
@@ -593,7 +609,8 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
                         # Only the adaptive gate changes after iteration 2
                         # (Schedule.step).
                         if gate is None or done <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
-                            theta, gate = schedule.step(n, done)
+                            theta, matrix = schedule.step(n, done)
+                            gate = matrix.tolist()
                         amps[flips] *= -1.0
                         amps = _diffuse(amps, views, gate, schedule.rotation_target)
                         total = float(np.vdot(amps, amps))

@@ -36,7 +36,8 @@ from groversim.analysis import (
     simulated_amplitude_series,
 )
 from groversim import analysis, grover
-from groversim.grover import gate_zr_y
+from groversim.grover import _hadamard_layers, _layer_views, _rotate_pair, gate_zr_y
+from groversim.statevector import _probability, uniform_superposition
 from conftest import SCHEDULES, clear_run_store
 from oracle import modified_diffusion, phase_flip_indices, target_probability, uniform_state
 
@@ -309,6 +310,61 @@ class TestFirstIterationObjective:
         assert calls[0] == self.GRID[k]
         assert calls[: len(candidates)] == candidates
         assert len(calls) == len(candidates) + len(probes) < 40
+
+    @staticmethod
+    def cone_close(n):
+        """f as the whole marked cone computes it: each angle rotates the
+        opened pair and reruns the last_entry views of the closing H^n."""
+        after_oracle = uniform_superposition(n)
+        after_oracle[-1] *= -1.0
+        marked, half = np.array([after_oracle.size - 1]), after_oracle.size >> 1
+        first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
+        opened = _hadamard_layers(after_oracle, _layer_views(first, second))
+        cone = _layer_views(after_oracle, first if opened is second else second, last_entry=True)
+        a0, a1 = opened.item(half), opened.item(0)
+
+        def f(theta):
+            opened[half], opened[0] = _rotate_pair(gate_zr_y(theta), a0, a1)
+            return _probability(_hadamard_layers(opened, cone), marked)
+
+        return f
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_paths_equal_cone_close_bytewise(self, n):
+        # A grid sample, both ends of the angle range, both zeros and the
+        # golden-section probes the search makes.
+        paths, cone = _first_iteration_probability(n), self.cone_close(n)
+        thetas = [*self.GRID[::210].tolist(), -math.pi, math.pi, 0.0, -0.0]
+        assert [paths(t).hex() for t in thetas] == [cone(t).hex() for t in thetas]
+        k = int(np.abs(self.GRID - fixed_phase(n)).argmin())
+        probes = []
+        _golden_section_max(
+            lambda t: probes.append(t) or paths(t), float(self.GRID[k - 1]), float(self.GRID[k + 1]), SEARCH_REFINE_TOL
+        )
+        assert len(probes) > 30
+        assert [paths(t).hex() for t in probes] == [cone(t).hex() for t in probes]
+
+    @pytest.mark.parametrize("n", [2, 3, 13, 14, 20])
+    def test_paths_read_no_register(self, n, monkeypatch):
+        # Every register the objective's H^n runs touch is overwritten with
+        # NaN once it is built; a probe that read one would return NaN.
+        registers = {}
+
+        def spied(src, layers):
+            for array in (src, layers.scaled, layers.first[2], layers.result):
+                while array.base is not None:
+                    array = array.base
+                registers[id(array)] = array
+            return _hadamard_layers(src, layers)
+
+        thetas = [-math.pi, -1.0, 0.0, fixed_phase(n), 3.0]
+        before = [_first_iteration_probability(n)(t).hex() for t in thetas]
+        monkeypatch.setattr(analysis, "_hadamard_layers", spied)
+        exact = _first_iteration_probability(n)
+        assert len(registers) == 3 and all(r.size == 1 << n for r in registers.values())
+        for register in registers.values():
+            register[...] = np.nan
+        assert [exact(t).hex() for t in thetas] == before
 
     def test_probe_allocates_no_register(self):
         # The search holds three registers, all allocated with the

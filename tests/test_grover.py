@@ -1,8 +1,10 @@
 import concurrent.futures
+import copy
 import dataclasses
 import itertools
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -163,6 +165,19 @@ class TestScheduleTokens:
         assert record_bytes(iterate_grover(GroverConfig(5, schedule=token))) == record_bytes(
             iterate_grover(GroverConfig(5, schedule=literal))
         )
+
+    @pytest.mark.parametrize("field, member, kind", SCHEDULE_MEMBERS, ids=[m.value for _, m, _ in SCHEDULE_MEMBERS])
+    @pytest.mark.parametrize("target", [None, 2, np.int64(2)])
+    def test_token_hashes_as_its_member(self, field, member, kind, target):
+        # The run store keys on the schedule: equal schedules must hash
+        # alike however they were built, and a copy must hash as it does.
+        token = Schedule(**{"kind": kind and kind.value, field: member.value}, rotation_target=target)
+        literal = Schedule(**{"kind": kind, field: member}, rotation_target=target)
+        fields = (literal.kind, literal.interpretation, literal.rotation_target, literal.hybrid_order)
+        assert token == literal and hash(token) == hash(literal) == hash(fields)
+        for copied in (pickle.loads(pickle.dumps(token)), copy.deepcopy(token), dataclasses.replace(token)):
+            assert copied == literal and hash(copied) == hash(literal)
+        assert len({token: 1, literal: 2}) == 1
 
     @pytest.mark.parametrize("field", ["kind", "interpretation", "hybrid_order"])
     @pytest.mark.parametrize("bad", ["nonsense", "STANDARD", "", None, 1])

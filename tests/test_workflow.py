@@ -79,6 +79,19 @@ def test_no_fma_selection_covers_the_kernel_view_plans():
     assert not any("dgemm_layer_is_fused_multiply_add" in i for i in ids)
 
 
+def test_no_fma_selection_covers_the_angle_search_paths():
+    # The search's probes compute two paths of (2,2) gemms; on a core
+    # without FMA they must still equal the cone close and read no register.
+    (words,) = [w for w in SELECTIONS if any(word.startswith("OPENBLAS_CORETYPE=") for word in w)]
+    ids = collected(words)
+    for name in [
+        "TestFirstIterationObjective::test_paths_equal_cone_close_bytewise",
+        "TestFirstIterationObjective::test_paths_read_no_register",
+        "TestFirstIterationObjective::test_equals_run_loop_first_iteration",
+    ]:
+        assert any(f"::{name}[" in i for i in ids), name
+
+
 def test_every_file_the_workflow_runs_exists():
     paths = set(re.findall(r"(?<![\w$/{.-])(?:[\w-]+/)+[\w-]+\.py\b", WORKFLOW))
     assert {"scripts/reproduce_results.py", "scripts/compare_results.py", "perfbench/run.py"} <= paths
