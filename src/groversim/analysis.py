@@ -5,11 +5,12 @@ the simulator also produces: a two-amplitude recurrence for standard
 search with one marked state and closed-form sin^2 success models. The
 derivative-free search for the best first-iteration rotation angle runs
 the simulator's own diffusion arithmetic on the angles a closed form
-leaves: it opens the register with H^n once per size, and each angle only
-rotates the pair and closes the marked amplitude's cone of the second
-H^n. The sweep compares standard and modified iteration counts; its runs
-read grover's run store, so the sweeps, traces and curves one process
-runs share every iteration they repeat.
+leaves: per size it opens the register with H^n and closes the marked
+amplitude's cone of the second H^n once, and each angle only rotates the
+pair and recomputes the two paths from it to the marked amplitude, n - 1
+(2,2) products. The sweep compares standard and modified iteration
+counts; its runs read grover's run store, so the sweeps, traces and
+curves one process runs share every iteration they repeat.
 """
 
 from __future__ import annotations
@@ -207,20 +208,22 @@ def _first_iteration_probability(n_qubits: int):
     layer: path A from entry 0 and path B from N/2, in different pairs
     until the last layer, where they meet. Every sibling a path node is
     paired with has a subtree without either changed entry, so it does
-    not depend on theta. So the closing H^n also runs once, here, as the
+    not depend on theta. So the closing H^n runs once here too, as the
     marked entry's cone (the last_entry views of _layer_views), and as
-    each layer q >= 1 is about to run, its two path pairs, whose siblings
-    are final by then, are copied out of its operand into `paths`: a
-    column of (path, sibling) rows, (A, B) then their siblings, three rows
-    a layer. A probe rotates the saved pair on floats (_rotate_pair with
-    gate_zr_y's entries), computes layer 0's two path entries as that
-    layer's +-1 gemm rounds them, fl(h*x0 - h*x1) + 0.0 (products by +-1
-    are exact), and runs one (2,2)@(2,2) gemm per later layer, as the cone
-    does. Layer q's result is written over layer q+1's path row, so no
-    value is copied; the last layer reads its path row as a column, where
-    A and B meet. The marked amplitude x is then the one entry the readout
-    sums, and x * x its probability. A probe reads no register: it costs
-    n - 1 tiny products at any n.
+    each layer q >= 1 is about to run, the siblings of A and B in its
+    operand are copied into `paths`: per layer, a row (A, B), the row of
+    their siblings and a scratch row.
+
+    A probe rotates the saved pair on floats (_rotate_pair with
+    gate_zr_y's entries) and computes layer 0's two path entries as its
+    +-1 gemm rounds them, fl(h*x0 - h*x1) + 0.0, since products by +-1
+    are exact. Each later layer is one (2,2)@(2,2) gemm on a path row and
+    its sibling row, rounding each entry as the cone's gemm does; its
+    result's second row is the next layer's path row, so no value is
+    copied. The last layer reads its path row as a column, where A and B
+    are one pair, and its result x is the one entry the readout sums, so
+    x * x is the probability. A probe reads no register and costs n - 1
+    tiny products at any n.
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
