@@ -202,17 +202,20 @@ def _first_iteration_probability(n_qubits: int):
     gate_zr_y(theta) on qubit n - 1, from the uniform state with index
     2**n - 1 marked, read out as the run loop reads it.
 
-    The opening H^n does not depend on theta, so it runs once, here. A
-    probe changes only entries 0 and N/2 of the opened register, and each
-    reaches the marked entry N - 1 of the closing H^n through one node per
-    layer: path A from entry 0 and path B from N/2, in different pairs
-    until the last layer, where they meet. Every sibling a path node is
-    paired with has a subtree without either changed entry, so it does
-    not depend on theta. So the closing H^n runs once here too, as the
-    marked entry's cone (the last_entry views of _layer_views), and as
-    each layer q >= 1 is about to run, the siblings of A and B in its
-    operand are copied into `paths`: per layer, a row (A, B), the row of
-    their siblings and a scratch row.
+    The opening H^n does not depend on theta, so it runs once, here, in
+    place in the after-oracle register and one other. A probe changes only
+    entries 0 and N/2 of the opened register, and each reaches the marked
+    entry N - 1 of the closing H^n through one node per layer: path A from
+    entry 0 and path B from N/2, in different pairs until the last layer,
+    where they meet. Every sibling a path node is paired with has a
+    subtree without either changed entry, so it does not depend on theta.
+    So the closing H^n runs once here too, as the marked entry's cone (the
+    last_entry views of _layer_views), and as each layer q >= 1 is about
+    to run, the siblings of A and B in its operand are copied into
+    `paths`: per layer, a row (A, B), the row of their siblings and a
+    scratch row. The cone's second buffer is the opened register, read
+    out first: the cone's layer 0 scales it whole into the other buffer
+    before writing it, so the objective holds two registers.
 
     A probe rotates the saved pair on floats (_rotate_pair with
     gate_zr_y's entries) and computes layer 0's two path entries as its
@@ -227,10 +230,14 @@ def _first_iteration_probability(n_qubits: int):
     """
     after_oracle = uniform_superposition(n_qubits)
     after_oracle[-1] *= -1.0
-    half = after_oracle.size >> 1
-    first, second = np.empty_like(after_oracle), np.empty_like(after_oracle)
-    opened = _hadamard_layers(after_oracle, _layer_views(first, second))
-    cone = _layer_views(after_oracle, first if opened is second else second, last_entry=True)
+    other = np.empty_like(after_oracle)
+    opened = _hadamard_layers(after_oracle, _layer_views(after_oracle, other))
+    half = opened.size >> 1
+    h = HADAMARD.item(0)
+    a0, a1 = opened.item(half), opened.item(0)
+    # Layer 0 pairs entry 0 with 1 and N/2 with N/2 + 1, scaled by h first.
+    partner_a, partner_b = h * opened.item(1), h * opened.item(half + 1)
+    cone = _layer_views(other if opened is after_oracle else after_oracle, opened, last_entry=True)
     siblings = []
 
     def read_siblings(layers):
@@ -247,10 +254,6 @@ def _first_iteration_probability(n_qubits: int):
     layers = [(paths[i : i + 2], paths[i + 2 : i + 4]) for i in range(0, len(paths) - 4, 3)]
     layers.append((paths[-4:-2].T, paths[-2:]))
     start, marked = paths[0], paths.size - 2
-    h = HADAMARD.item(0)
-    a0, a1 = opened.item(half), opened.item(0)
-    # Layer 0 pairs entry 0 with 1 and N/2 with N/2 + 1, scaled by h first.
-    partner_a, partner_b = h * opened.item(1), h * opened.item(half + 1)
 
     def f(theta: float) -> float:
         c, s = _half_angle(theta)

@@ -11,14 +11,13 @@ in analysis, as the recurrence's independent check.
 
 iterate_grover builds the views of its two buffers once per register
 (_diffusion_views), and the runs of one (n_qubits, marked, schedule)
-share a run store: each iteration is simulated once per process, and a
-later reader yields the stored records and resumes the paused register.
-The store is bounded: at most 256 KiB of paused registers, none past
-n = 13, and 1 MiB of records. The registers it may pause (n <= 13) run
-in bit-reversed order, where each Hadamard layer reads two contiguous
-half-register streams, and are read out in natural order; larger ones
-run in natural order (_layer_views gives both plans and the bound's
-reasons). The records are the same bytes either way.
+share a run store: a later reader yields the stored records and resumes
+the paused register. One budget of 1.25 MiB bounds the records and the
+registers it keeps, and it pauses none past n = 13. The registers it may
+pause run in bit-reversed order, where each Hadamard layer reads two
+contiguous half-register streams, and are read out in natural order;
+larger ones run in natural order (_layer_views gives both plans and the
+bound's reasons). The records are the same bytes either way.
 
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
@@ -450,29 +449,26 @@ class _RunStore:
     schedule), the records pulled so far and a paused register, kept as
     (iterations it holds, register).
 
-    Both are bounded. A register is paused only up to REGISTER_BYTES
-    (64 KiB, n <= 13, the paper's tables) and at most REGISTERS_BYTES of
-    them in all, four n = 13 registers: past that the smallest, the
-    cheapest to simulate again, is evicted, least recently paused first
-    among equals. A run's records and key count RECORD_BYTES per record
-    and MARKED_BYTES per marked index (their size in CPython, rounded up),
-    at most RUNS_BYTES in all: past that whole runs are evicted with their
-    registers, least recently extended first, and a run that alone
-    exceeds it is not kept. Every change holds one lock, reentrant since a
-    reader's cleanup may run inside another change (the cycle collector),
-    so readers in any threads may share the store.
+    One budget, BYTES, bounds them together: a record counts RECORD_BYTES,
+    a marked index of the key MARKED_BYTES (their size in CPython, rounded
+    up) and a paused register its nbytes. Past it whole runs are evicted,
+    least recently extended or paused first, and a run that alone exceeds
+    it is not kept. A register is paused only up to REGISTER_BYTES (64 KiB,
+    n <= 13, the paper's tables) and only while it holds every record
+    stored. Every change holds one lock, reentrant since a reader's cleanup
+    may run inside another change (the cycle collector), so readers in any
+    threads may share the store.
     """
 
     REGISTER_BYTES = 8 << 13
-    REGISTERS_BYTES = 4 * REGISTER_BYTES
     RECORD_BYTES = 200
     MARKED_BYTES = 40
-    RUNS_BYTES = 1 << 20
+    BYTES = (1 << 20) + (1 << 18)
 
     def __init__(self):
         self.runs: dict[tuple, list[IterationRecord]] = {}
         self.paused: dict[tuple, tuple[int, np.ndarray]] = {}
-        self.runs_bytes = self.registers_bytes = 0
+        self.bytes = 0
         self._lock = threading.RLock()
 
     def record(self, key: tuple, i: int) -> IterationRecord | None:
@@ -481,46 +477,44 @@ class _RunStore:
         records = self.runs.get(key, ())
         return records[i - 1] if i <= len(records) else None
 
-    def take(self, key: tuple, after: int, before: int) -> tuple | None:
-        """Pop run key's paused register if it holds more than `after`
-        iterations and at most `before`: (iterations, register)."""
+    def take(self, key: tuple, held: int) -> tuple | None:
+        """Pop run key's paused register if it holds at most `held`
+        iterations: (iterations, register)."""
         with self._lock:
             paused = self.paused.get(key)
-            if paused is None or not after < paused[0] <= before:
+            if paused is None or paused[0] > held:
                 return None
-            return self._unpause(key)
+            self.bytes -= paused[1].nbytes
+            return self.paused.pop(key)
 
     def extend(self, key: tuple, record: IterationRecord) -> None:
         """Store record if it is run key's next one, and mark the run as
-        the most recently extended."""
+        the most recently used."""
         with self._lock:
             records = self.runs.pop(key, None)
             if records is None and record.iteration == 1:
                 records = []
-                self.runs_bytes += self._bytes(key, records)
+                self.bytes += len(key[1]) * self.MARKED_BYTES
             if records is None:
                 return
             self.runs[key] = records
             if len(records) == record.iteration - 1:
                 records.append(record)
-                self.runs_bytes += self.RECORD_BYTES
-            if self._bytes(key, records) > self.RUNS_BYTES:
-                self._drop(key)
-            while self.runs_bytes > self.RUNS_BYTES:
-                self._drop(next(iter(self.runs)))
+                self.bytes += self.RECORD_BYTES
+            self._evict(key)
 
     def pause(self, key: tuple, done: int, register: np.ndarray) -> None:
-        """Keep register, which holds `done` iterations of run key, if
-        they are all the records stored and it fits the bounds."""
+        """Keep register, which holds `done` iterations of run key, in place
+        of the run's paused one, if they are all the records stored and it
+        is small enough; mark the run as the most recently used."""
         with self._lock:
             if register.nbytes > self.REGISTER_BYTES or len(self.runs.get(key, ())) != done:
                 return
-            self._unpause(key)
+            self.runs[key] = self.runs.pop(key)
+            old = self.paused.get(key)
             self.paused[key] = done, register
-            self.registers_bytes += register.nbytes
-            while self.registers_bytes > self.REGISTERS_BYTES:
-                smallest = min(self.paused, key=lambda k: self.paused[k][1].nbytes)
-                self.registers_bytes -= self.paused.pop(smallest)[1].nbytes
+            self.bytes += register.nbytes - (old[1].nbytes if old else 0)
+            self._evict(key)
 
     def drop(self, key: tuple) -> None:
         """Forget run key: its records and its paused register."""
@@ -531,22 +525,26 @@ class _RunStore:
         with self._lock:
             self.runs.clear()
             self.paused.clear()
-            self.runs_bytes = self.registers_bytes = 0
+            self.bytes = 0
+
+    def _evict(self, key: tuple) -> None:
+        """Drop run key if it alone exceeds the budget, then the least
+        recently used runs until the store is within it."""
+        if self._bytes(key) > self.BYTES:
+            self._drop(key)
+        while self.bytes > self.BYTES:
+            self._drop(next(iter(self.runs)))
 
     def _drop(self, key: tuple) -> None:
-        records = self.runs.pop(key, None)
-        if records is not None:
-            self.runs_bytes -= self._bytes(key, records)
-        self._unpause(key)
+        if key in self.runs:
+            self.bytes -= self._bytes(key)
+            del self.runs[key]
+            self.paused.pop(key, None)
 
-    def _bytes(self, key: tuple, records: list) -> int:
-        return len(key[1]) * self.MARKED_BYTES + len(records) * self.RECORD_BYTES
-
-    def _unpause(self, key: tuple) -> tuple | None:
-        paused = self.paused.pop(key, None)
-        if paused is not None:
-            self.registers_bytes -= paused[1].nbytes
-        return paused
+    def _bytes(self, key: tuple) -> int:
+        paused = self.paused.get(key)
+        register = 0 if paused is None else paused[1].nbytes
+        return len(key[1]) * self.MARKED_BYTES + len(self.runs[key]) * self.RECORD_BYTES + register
 
 
 _STORE = _RunStore()
@@ -562,15 +560,14 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
 
     A run is a pure function of (n_qubits, marked, schedule), which
     GroverConfig stores as the run reads them, so the readers of that key
-    share one entry of the run store (_RunStore): a reader yields the
-    records stored, and past them goes on from the furthest register it
-    may use (the run's paused register if it holds no iteration the reader
-    has yet to yield, else its own, else the uniform state) and stores what
-    it computes. A reader that stops while holding all the stored records
-    pauses its register within the store's bounds, so no register of
-    n >= 14 outlives its run and all runs' records stay within 1 MiB; past
-    what an evicted run holds, a reader simulates it again. A run that
-    raises leaves no entry.
+    share one entry of the run store (_RunStore). A reader yields the
+    stored records; at the first one missing it takes the run's paused
+    register if that holds no iteration yet to yield, else starts from the
+    uniform state, and from then on simulates and stores every record
+    (interleaved readers of a run may so simulate the same iterations).
+    A reader that stops while holding all the stored records pauses its
+    register within the store's bounds; past what an evicted run holds, a
+    reader simulates it again. A run that raises leaves no entry.
 
     A reader that simulates owns two float64 register-sized buffers and
     builds their views once (_diffusion_views): the oracle negates the
@@ -592,18 +589,16 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     reversal = _bit_reversal(n) if 8 << n <= _RunStore.REGISTER_BYTES else None
     flips = marked if reversal is None else reversal[marked]
     key = (n, config.marked, schedule)
-    done, amps = 0, None  # this reader's register holds `done` iterations
+    done, amps, gate = 0, None, None  # this reader's register holds `done` iterations
     try:
         for i in range(1, config.max_iterations + 1):
-            record = _STORE.record(key, i)
+            record = _STORE.record(key, i) if amps is None else None
             if record is None:
                 try:
-                    taken = _STORE.take(key, done, i - 1)
-                    if taken is not None or amps is None:
-                        done, amps = taken or (0, uniform_superposition(n))
+                    if amps is None:
+                        done, amps = _STORE.take(key, i - 1) or (0, uniform_superposition(n))
                         spare = np.empty_like(amps)
                         views = _diffusion_views(amps, spare, bit_reversed=reversal is not None)
-                        gate = None
                     while done < i:
                         done += 1
                         # Only the adaptive gate changes after iteration 2

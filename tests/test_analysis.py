@@ -361,13 +361,13 @@ class TestFirstIterationObjective:
         before = [_first_iteration_probability(n)(t).hex() for t in thetas]
         monkeypatch.setattr(analysis, "_hadamard_layers", spied)
         exact = _first_iteration_probability(n)
-        assert len(registers) == 3 and all(r.size == 1 << n for r in registers.values())
+        assert len(registers) == 2 and all(r.size == 1 << n for r in registers.values())
         for register in registers.values():
             register[...] = np.nan
         assert [exact(t).hex() for t in thetas] == before
 
     def test_probe_allocates_no_register(self):
-        # The search holds three registers, all allocated with the
+        # The search holds two registers, both allocated with the
         # objective; a probe allocates nothing register-sized, which would
         # show at n = 16 as 256 KiB or more.
         register = 8 << 16
@@ -382,7 +382,7 @@ class TestFirstIterationObjective:
             _, probe_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert setup_peak - start <= 3 * register + 64 * 1024
+        assert setup_peak - start <= 2 * register + 64 * 1024
         assert probe_peak - before <= 64 * 1024
 
 

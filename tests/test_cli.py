@@ -210,28 +210,6 @@ class TestSweepCommand:
             assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes(), filename
 
 
-    def test_paper_tables_resume_the_sweeps_runs(self, cli, tmp_path, monkeypatch):
-        # Every job but the angle tables, in one process from an empty run
-        # store: the sweeps simulate each run once, and the n = 5 traces
-        # and n = 13 curves resume them, so a pass makes 934 diffusions,
-        # 382 of them at n = 13, where rerunning would make 1,064 and 505.
-        counts = collections.Counter()
-        real = grover._diffuse
-
-        def counted(src, *args):
-            counts[src.size.bit_length() - 1] += 1
-            return real(src, *args)
-
-        monkeypatch.setattr(grover, "_diffuse", counted)
-        for filename, args in REPRODUCE_JOBS:
-            if args[0] != "angles":
-                out = tmp_path / filename
-                result = cli(*args, "--out", out)
-                assert result.exit_code == 0, result.output
-                assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes(), filename
-        assert (sum(counts.values()), counts[13], counts[5]) == (934, 382, 17)
-
-
 class TestAnglesCommand:
     def test_small_range_values(self, cli):
         result = cli("angles", "--qubits", "2..4")
@@ -274,6 +252,32 @@ class TestAnglesCommand:
         result = cli(*args, "--out", out)
         assert result.exit_code == 0, result.output
         assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes()
+
+    def test_jobs_in_one_process_resume_the_stored_runs(self, cli, tmp_path, monkeypatch):
+        # Every job, in one process from an empty run store, as
+        # reproduce_results.py runs them: the sweeps simulate each run
+        # once; the n = 5 traces read their records, and the n = 13 curves
+        # read theirs and go on from the paused registers. The angle
+        # tables make no diffusion. Without pausing a pass makes 1,057,
+        # and rerunning every run 1,064, 505 of them at n = 13.
+        calls = []
+        real = grover._diffuse
+
+        def counted(src, *args):
+            calls.append(src.size.bit_length() - 1)
+            return real(src, *args)
+
+        monkeypatch.setattr(grover, "_diffuse", counted)
+        counts = []
+        for filename, args in REPRODUCE_JOBS:
+            before = len(calls)
+            out = tmp_path / filename
+            result = cli(*args, "--out", out)
+            assert result.exit_code == 0, result.output
+            assert out.read_bytes() == (RESULTS_DIR / filename).read_bytes(), filename
+            counts.append(len(calls) - before)
+        assert counts == [0, 0, 424, 0, 176, 177, 0, 0, 0, 0, 68, 89]
+        assert (len(calls), calls.count(13), calls.count(5)) == (934, 382, 17)
 
 
 class TestRecurrenceCommand:

@@ -691,15 +691,14 @@ def store_key(config):
 
 
 def check_store_bytes():
-    """The store's byte counts equal what it holds, within its budgets."""
+    """The store's byte count equals what it holds, within its budget."""
     store = grover._STORE
-    runs_bytes = sum(
+    held = sum(
         len(marked) * store.MARKED_BYTES + len(records) * store.RECORD_BYTES
         for (_, marked, _), records in store.runs.items()
     )
-    registers_bytes = sum(r.nbytes for _, r in store.paused.values())
-    assert (store.runs_bytes, store.registers_bytes) == (runs_bytes, registers_bytes)
-    assert runs_bytes <= store.RUNS_BYTES and registers_bytes <= store.REGISTERS_BYTES
+    held += sum(r.nbytes for _, r in store.paused.values())
+    assert store.bytes == held <= store.BYTES
     assert store.paused.keys() <= store.runs.keys()
 
 
@@ -720,7 +719,7 @@ class TestRunStore:
         key = store_key(config)
         assert len(grover._STORE.runs[key]) == held and key in grover._STORE.paused
         if window == "longer-evicted":
-            assert grover._STORE.take(key, 0, held) is not None
+            assert grover._STORE.take(key, held) is not None
         assert record_bytes(iterate_grover(config)) == expected
         assert len(grover._STORE.runs[key]) == max(held, length)
         check_store_bytes()
@@ -729,7 +728,8 @@ class TestRunStore:
     def test_interleaved_readers_get_cold_bytes(self, schedule):
         # The first reader extends the run and holds its register; the
         # second reads those records, then starts over and extends past
-        # them; the first reads those and catches up from its own register.
+        # them; the first goes on in its own register, simulating again
+        # the records the second stored.
         config = GroverConfig(9, schedule=schedule)
         expected = cold_record_bytes(config)
         readers = iterate_grover(config), iterate_grover(config)
@@ -739,23 +739,34 @@ class TestRunStore:
         assert record_bytes(got[0]) == record_bytes(got[1]) == expected
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
-    def test_reader_taking_a_later_register_rebuilds_its_gate(self, schedule):
-        # The long reader holds iteration 1's gate when it takes the short
-        # reader's register at iteration 5; the hybrid gate differs from
-        # iteration 2 on, so it must be rebuilt for iteration 6.
+    def test_reader_holding_a_register_takes_no_other(self, schedule, monkeypatch):
+        # The short reader pauses its register at iteration 5 while the
+        # long reader holds its own at iteration 1: the long reader goes on
+        # from its own. Each simulating reader calls take once, before its
+        # first simulated iteration.
         config = GroverConfig(5, schedule=schedule, max_iterations=20)
         expected = cold_record_bytes(config)
+        takes = []
+        real = grover._STORE.take
+
+        def counted(key, held):
+            takes.append(held)
+            return real(key, held)
+
+        monkeypatch.setattr(grover._STORE, "take", counted)
         long_reader = iterate_grover(config)
         first = next(long_reader)
         assert len(list(iterate_grover(dataclasses.replace(config, max_iterations=5)))) == 5
         assert grover._STORE.paused[store_key(config)][0] == 5
         assert record_bytes([first, *long_reader]) == expected
+        assert takes == [0, 1]
 
     @pytest.mark.parametrize("simulated", [True, False], ids=["own-register", "no-register"])
     def test_reader_of_an_evicted_run_reads_its_successor(self, simulated):
         # The run is evicted under a live reader and simulated again past
-        # it; the reader yields the new entry's records and goes on from
-        # its paused register.
+        # it. A reader that holds its own register goes on in it; one that
+        # holds none yields the new entry's records and goes on from its
+        # paused register.
         config = GroverConfig(9, schedule=Schedule(ScheduleKind.HYBRID))
         expected = cold_record_bytes(config)
         if not simulated:
@@ -794,25 +805,29 @@ class TestRunStore:
         assert record_bytes(iterate_grover(config)) == expected
 
     def test_register_paused_past_a_reader_is_not_taken(self, monkeypatch):
-        # Another thread may extend the run and pause its register between
-        # a reader's lookup of record 5 and its take: that register holds
-        # iterations the reader has yet to yield, so it must not be taken.
+        # Another thread may take the register paused at 4, extend the run
+        # and pause its register between a reader's lookup of record 5 and
+        # its one take: that register holds iterations the reader has yet
+        # to yield, so it must not be taken.
         config = GroverConfig(9)
         expected = cold_record_bytes(config)
-        real = grover._STORE.record
-        raced = False
+        assert len(list(itertools.islice(iterate_grover(config), 4))) == 4
+        real = grover._STORE.take
+        taken = []  # the iterations of each register taken, None if none
 
-        def racing(key, i):
-            nonlocal raced
-            got = real(key, i)
-            if i == 5 and not raced:
-                raced = True
+        def racing(key, held):
+            if not taken:
+                taken.append("raced")
+                # This reader takes the register paused at 4 through here.
                 assert len(list(iterate_grover(config))) == config.max_iterations
+            got = real(key, held)
+            taken.append(None if got is None else got[0])
             return got
 
-        monkeypatch.setattr(grover._STORE, "record", racing)
+        monkeypatch.setattr(grover._STORE, "take", racing)
         assert record_bytes(iterate_grover(config)) == expected
-        assert raced and grover._STORE.paused[store_key(config)][0] == config.max_iterations
+        assert taken == ["raced", 4, None]
+        assert grover._STORE.paused[store_key(config)][0] == config.max_iterations
 
     def test_failed_run_leaves_no_entry(self, monkeypatch):
         # Each reader's kernel drifts from its third diffusion on; the first
@@ -852,30 +867,35 @@ class TestRunStore:
         check_store_bytes()
 
     def test_paused_registers_stay_within_the_budget(self, monkeypatch):
+        # Each n = 13 run of three iterations holds 66,176 B: its 64 KiB
+        # register, three records and its key. The twentieth run's pause
+        # evicts the first run whole. A run that takes its register back
+        # and pauses it again is the most recently used, so the next
+        # eviction passes it by.
         store = grover._STORE
-        held = []
+        configs = [GroverConfig(13, {j}, max_iterations=3) for j in range(20)]
+        expected = cold_record_bytes(configs[0])
         real = store.pause
 
         def checked(key, done, register):
             real(key, done, register)
             check_store_bytes()
-            held.append(store.registers_bytes)
 
         monkeypatch.setattr(store, "pause", checked)
-        schedules = [Schedule(kind) for kind in ScheduleKind]
-        for n in range(2, 15):
-            for schedule in schedules:
-                list(iterate_grover(GroverConfig(n, schedule=schedule, max_iterations=3)))
-        assert len(held) == 13 * len(schedules)
-        assert max(held) <= store.REGISTERS_BYTES == 4 * store.REGISTER_BYTES
-        # The budget holds four n = 13 registers; the fifth evicts one.
-        assert held[-len(schedules) - 1] == store.REGISTERS_BYTES == 4 * (8 << 13)
-        assert sorted(r.size for _, r in store.paused.values()) == [1 << 13] * 4
+        for config in configs:
+            assert len(list(iterate_grover(config))) == 3
+        assert store.BYTES == (1 << 20) + (1 << 18)
+        assert [marked for _, marked, _ in store.runs] == [(j,) for j in range(1, 20)]
+        assert store.paused.keys() == store.runs.keys()
+        assert len(list(iterate_grover(dataclasses.replace(configs[1], max_iterations=4)))) == 4
+        assert record_bytes(iterate_grover(configs[0])) == expected
+        assert [marked for _, marked, _ in store.runs] == [(j,) for j in range(3, 20)] + [(1,), (0,)]
+        assert store.paused[store_key(configs[1])][0] == 4
 
     def test_records_stay_within_the_budget(self, monkeypatch):
-        # Each scanned run holds 300,040 B of records and key: the fourth
-        # evicts the least recently extended, and the evicted run reads
-        # its cold bytes again.
+        # Each scanned run holds 300,296 B of records, key and register:
+        # the fifth evicts the least recently used, and the evicted run
+        # reads its cold bytes again.
         store = grover._STORE
         configs = [GroverConfig(5, {j}, max_iterations=1500) for j in range(5)]
         expected = cold_record_bytes(configs[0])
@@ -888,19 +908,20 @@ class TestRunStore:
         monkeypatch.setattr(store, "extend", checked)
         for config in configs:
             assert len(list(iterate_grover(config))) == 1500
-        assert [marked for _, marked, _ in store.runs] == [(2,), (3,), (4,)]
-        assert store.RUNS_BYTES == 1 << 20
+        assert [marked for _, marked, _ in store.runs] == [(1,), (2,), (3,), (4,)]
+        assert store.BYTES == (1 << 20) + (1 << 18)
         assert record_bytes(iterate_grover(configs[0])) == expected
-        assert [marked for _, marked, _ in store.runs] == [(3,), (4,), (0,)]
+        assert [marked for _, marked, _ in store.runs] == [(2,), (3,), (4,), (0,)]
 
     @pytest.mark.parametrize(
         "config, kept",
         [
             # Grows past the budget record by record: first it evicts the
-            # n = 5 run, the least recently extended, then itself.
-            pytest.param(GroverConfig(3, max_iterations=6000), [], id="long-window"),
-            # Its key alone is past the budget: not kept from record 1.
-            pytest.param(GroverConfig(16, range(1 << 15), max_iterations=2), [5], id="large-marked-set"),
+            # n = 5 run, the least recently used, then itself.
+            pytest.param(GroverConfig(3, max_iterations=7000), [], id="long-window"),
+            # Its key alone, 1.6 MB, is past the budget: not kept from
+            # record 1.
+            pytest.param(GroverConfig(16, range(40_000), max_iterations=2), [5], id="large-marked-set"),
         ],
     )
     def test_run_past_the_budget_is_not_kept(self, config, kept, monkeypatch):
