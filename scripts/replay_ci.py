@@ -15,11 +15,12 @@ versions without numpy are reported as not run. After a step fails, the
 job's later steps are skipped, as on a hosted runner.
 
 Prints one line per step and exits 1 if a step failed, 2 if PyYAML is
-missing.
+missing or an argument is given: it takes none but --help.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -118,7 +119,9 @@ def replay(job_name: str, job: dict, python: str, label: str) -> bool:
     return passed
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.parse_args(argv)
     try:
         import yaml
     except ImportError:

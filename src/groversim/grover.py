@@ -9,12 +9,12 @@ controlled rotation whose angle is set per run (fixed-eq9), per iteration
 leaves every probability unchanged. The mean form of the reflection lives
 in analysis, as the recurrence's independent check.
 
-iterate_grover builds the views of its two buffers once per register
-(_diffusion_views), and the runs of one (n_qubits, marked, schedule)
-share a run store: a later reader yields the stored records and resumes
-the paused register. One budget of 1.25 MiB bounds the records and the
-registers it keeps, and it pauses none past n = 13. The registers it may
-pause run in bit-reversed order, where each Hadamard layer reads two
+iterate_grover builds the views of its two buffers once per run
+(_diffusion_views), and the readers of one (n_qubits, marked, schedule)
+share one run of the run store: each yields the stored records and
+extends the run's one register in turn. One budget of 1.25 MiB bounds the
+runs it keeps, and it keeps none past n = 13. The registers it may
+keep run in bit-reversed order, where each Hadamard layer reads two
 contiguous half-register streams, and are read out in natural order;
 larger ones run in natural order (_layer_views gives both plans and the
 bound's reasons). The records are the same bytes either way.
@@ -109,9 +109,7 @@ class Schedule:
     """A diffusion-phase schedule. kind, interpretation and hybrid_order
     take their Enum's member or its value, the CLI token, and store the
     member; rotation_target takes any integer and stores an int, so every
-    Schedule hashes. Anything else is a ValueError. The hash is computed
-    once, here: every run-store lookup hashes a Schedule, and the
-    generated __hash__ would hash three Enum members each time."""
+    Schedule hashes. Anything else is a ValueError."""
 
     kind: ScheduleKind = ScheduleKind.STANDARD
     interpretation: RatioInterpretation = RatioInterpretation.ADDITIVE
@@ -124,15 +122,6 @@ class Schedule:
         object.__setattr__(self, "hybrid_order", HybridOrder(self.hybrid_order))
         if self.rotation_target is not None:
             object.__setattr__(self, "rotation_target", _integer(self.rotation_target, "rotation_target"))
-        fields = self.kind, self.interpretation, self.rotation_target, self.hybrid_order
-        object.__setattr__(self, "_hash", hash(fields))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Enum hashes differ between processes: rebuild, never copy _hash.
-        return Schedule, (self.kind, self.interpretation, self.rotation_target, self.hybrid_order)
 
     def describe(self) -> str:
         label = self.kind.value
@@ -276,7 +265,7 @@ def _layer_views(
     (N/2, 2). After n layers the layout is bit-reversed again. Each output
     entry is the same two-term product as in the natural plan, so the two
     plans' bytes are equal. iterate_grover takes it for the registers the
-    run store may pause (n <= 13, _RunStore.REGISTER_BYTES), where it is
+    run store may keep (n <= 13, _RunStore.REGISTER_BYTES), where it is
     faster. Larger registers keep the natural plan, for two reasons: the
     reversed readout gathers through an index array as large as the
     register, a third register beside the run's two, and from n = 19 on
@@ -444,19 +433,33 @@ class IterationRecord(NamedTuple):
     mean_amplitude: float  # diagnostics only
 
 
-class _RunStore:
-    """iterate_grover's run store: per run, keyed (n_qubits, marked,
-    schedule), the records pulled so far and a paused register, kept as
-    (iterations it holds, register).
+class _Run:
+    """One run of the store: its records, its register after the last of
+    them, the theta and gate of that iteration, the lock its readers
+    extend it under, and whether the store keeps it and whether an
+    iteration of it raised."""
 
-    One budget, BYTES, bounds them together: a record counts RECORD_BYTES,
+    def __init__(self, n_qubits: int, kept: bool = False):
+        self.records: list[IterationRecord] = []
+        self.amps = uniform_superposition(n_qubits)
+        self.theta = self.gate = None
+        self.lock = threading.Lock()
+        self.kept = kept
+        self.failed = False
+
+
+class _RunStore:
+    """iterate_grover's run store: one shared _Run per key (n_qubits,
+    marked, schedule), kept only if its register is at most REGISTER_BYTES
+    (64 KiB, n <= 13, the paper's tables); a larger run belongs to its
+    reader alone.
+
+    One budget, BYTES, bounds the kept runs: a record counts RECORD_BYTES,
     a marked index of the key MARKED_BYTES (their size in CPython, rounded
-    up) and a paused register its nbytes. Past it whole runs are evicted,
-    least recently extended or paused first, and a run that alone exceeds
-    it is not kept. A register is paused only up to REGISTER_BYTES (64 KiB,
-    n <= 13, the paper's tables) and only while it holds every record
-    stored. Every change holds one lock, reentrant since a reader's cleanup
-    may run inside another change (the cycle collector), so readers in any
+    up) and the register its nbytes. Past it whole runs are evicted, least
+    recently looked up first; a reader of an evicted run goes on in that
+    run alone. Every change holds one lock, which a reader may take while
+    it holds a run's lock but never the other way round, so readers in any
     threads may share the store.
     """
 
@@ -466,85 +469,52 @@ class _RunStore:
     BYTES = (1 << 20) + (1 << 18)
 
     def __init__(self):
-        self.runs: dict[tuple, list[IterationRecord]] = {}
-        self.paused: dict[tuple, tuple[int, np.ndarray]] = {}
+        self.runs: dict[tuple, _Run] = {}
         self.bytes = 0
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
-    def record(self, key: tuple, i: int) -> IterationRecord | None:
-        """Record i of run key, if the store holds it. Takes no lock: a
-        run's list only ever grows, so one evicted meanwhile reads true."""
-        records = self.runs.get(key, ())
-        return records[i - 1] if i <= len(records) else None
-
-    def take(self, key: tuple, held: int) -> tuple | None:
-        """Pop run key's paused register if it holds at most `held`
-        iterations: (iterations, register)."""
+    def run(self, key: tuple) -> _Run:
+        """The stored run of key, now the most recently used, or a new one."""
+        if 8 << key[0] > self.REGISTER_BYTES:
+            return _Run(key[0])
         with self._lock:
-            paused = self.paused.get(key)
-            if paused is None or paused[0] > held:
-                return None
-            self.bytes -= paused[1].nbytes
-            return self.paused.pop(key)
+            run = self.runs.pop(key, None)
+            if run is None:
+                run = _Run(key[0], kept=True)
+                self.bytes += len(key[1]) * self.MARKED_BYTES + run.amps.nbytes
+            self.runs[key] = run
+            self._evict()
+            return run
 
-    def extend(self, key: tuple, record: IterationRecord) -> None:
-        """Store record if it is run key's next one, and mark the run as
-        the most recently used."""
+    def grow(self, run: _Run, record: IterationRecord) -> None:
+        """Append run's next record, counting it if the store keeps the run."""
         with self._lock:
-            records = self.runs.pop(key, None)
-            if records is None and record.iteration == 1:
-                records = []
-                self.bytes += len(key[1]) * self.MARKED_BYTES
-            if records is None:
-                return
-            self.runs[key] = records
-            if len(records) == record.iteration - 1:
-                records.append(record)
+            run.records.append(record)
+            if run.kept:
                 self.bytes += self.RECORD_BYTES
-            self._evict(key)
-
-    def pause(self, key: tuple, done: int, register: np.ndarray) -> None:
-        """Keep register, which holds `done` iterations of run key, in place
-        of the run's paused one, if they are all the records stored and it
-        is small enough; mark the run as the most recently used."""
-        with self._lock:
-            if register.nbytes > self.REGISTER_BYTES or len(self.runs.get(key, ())) != done:
-                return
-            self.runs[key] = self.runs.pop(key)
-            old = self.paused.get(key)
-            self.paused[key] = done, register
-            self.bytes += register.nbytes - (old[1].nbytes if old else 0)
-            self._evict(key)
+                self._evict()
 
     def drop(self, key: tuple) -> None:
-        """Forget run key: its records and its paused register."""
+        """Forget run key."""
         with self._lock:
             self._drop(key)
 
     def clear(self) -> None:
         with self._lock:
-            self.runs.clear()
-            self.paused.clear()
-            self.bytes = 0
+            while self.runs:
+                self._drop(next(iter(self.runs)))
 
-    def _evict(self, key: tuple) -> None:
-        """Drop run key if it alone exceeds the budget, then the least
-        recently used runs until the store is within it."""
-        if self._bytes(key) > self.BYTES:
-            self._drop(key)
+    def _evict(self) -> None:
+        """Drop the least recently looked-up runs until the store is within BYTES."""
         while self.bytes > self.BYTES:
             self._drop(next(iter(self.runs)))
 
     def _drop(self, key: tuple) -> None:
-        if key in self.runs:
-            self.bytes -= self._bytes(key)
-            del self.runs[key]
-            self.paused.pop(key, None)
-
-    def _bytes(self, key: tuple) -> int:
-        paused = self.paused.get(key)
-        register = 0 if paused is None else paused[1].nbytes
-        return len(key[1]) * self.MARKED_BYTES + len(self.runs[key]) * self.RECORD_BYTES + register
+        run = self.runs.pop(key, None)
+        if run is not None:
+            run.kept = False
+            held = len(key[1]) * self.MARKED_BYTES + len(run.records) * self.RECORD_BYTES
+            self.bytes -= held + run.amps.nbytes
 
 
 _STORE = _RunStore()
@@ -560,22 +530,20 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
 
     A run is a pure function of (n_qubits, marked, schedule), which
     GroverConfig stores as the run reads them, so the readers of that key
-    share one entry of the run store (_RunStore). A reader yields the
-    stored records; at the first one missing it takes the run's paused
-    register if that holds no iteration yet to yield, else starts from the
-    uniform state, and from then on simulates and stores every record
-    (interleaved readers of a run may so simulate the same iterations).
-    A reader that stops while holding all the stored records pauses its
-    register within the store's bounds; past what an evicted run holds, a
-    reader simulates it again. A run that raises leaves no entry.
+    share one run (_RunStore.run). A reader yields the run's records; at
+    each one missing it extends the run's register by one iteration under
+    the run's lock and stores the record, so interleaved readers make each
+    iteration once. An iteration that raises marks the run failed and
+    drops it from the store: no reader extends it again, and its other
+    readers go on in the store's current run of the key.
 
-    A reader that simulates owns two float64 register-sized buffers and
-    builds their views once (_diffusion_views): the oracle negates the
-    marked amplitudes in place, and _diffuse works in the two buffers. A
-    register the store may pause (n <= 13) is held bit-reversed, paused
-    that way too, and each readout gathers it into natural order in the
-    spare buffer through _bit_reversal's cached index array; larger ones
-    are held in natural order. The records are byte-identical to those of
+    A reader builds a spare float64 register-sized buffer and the views of
+    it and the run's register (_diffusion_views) once for each run it
+    extends: the oracle negates the marked amplitudes in place, and
+    _diffuse leaves its result in the register. A register the store may
+    keep (n <= 13) is held bit-reversed, and each readout gathers it into
+    natural order in the spare buffer through _bit_reversal's cached
+    index array; larger ones are held in natural order. The records are byte-identical to those of
     re-simulating each iteration with the oracle, diffusion and readout of
     tests/oracle.py on a complex register. GroverConfig stores the marked
     indices sorted, so the readout sums them in ascending order, and the
@@ -585,47 +553,43 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     n = config.n_qubits
     schedule = config.schedule
     marked = np.array(config.marked, dtype=np.int64)
-    # The registers the store may pause run bit-reversed (_layer_views).
+    # The registers the store may keep run bit-reversed (_layer_views).
     reversal = _bit_reversal(n) if 8 << n <= _RunStore.REGISTER_BYTES else None
     flips = marked if reversal is None else reversal[marked]
     key = (n, config.marked, schedule)
-    done, amps, gate = 0, None, None  # this reader's register holds `done` iterations
-    try:
-        for i in range(1, config.max_iterations + 1):
-            record = _STORE.record(key, i) if amps is None else None
-            if record is None:
-                try:
-                    if amps is None:
-                        done, amps = _STORE.take(key, i - 1) or (0, uniform_superposition(n))
-                        spare = np.empty_like(amps)
-                        views = _diffusion_views(amps, spare, bit_reversed=reversal is not None)
-                    while done < i:
-                        done += 1
+    run, extended = _STORE.run(key), None  # extended: the run `views` serve
+    for i in range(1, config.max_iterations + 1):
+        while len(run.records) < i:
+            with run.lock:
+                done = len(run.records) + 1
+                if run.failed:
+                    run = _STORE.run(key)
+                elif done <= i:  # else another reader extended the run meanwhile
+                    if extended is not run:
+                        extended, spare = run, np.empty_like(run.amps)
+                        views = _diffusion_views(run.amps, spare, bit_reversed=reversal is not None)
+                    try:
                         # Only the adaptive gate changes after iteration 2
                         # (Schedule.step).
-                        if gate is None or done <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
-                            theta, matrix = schedule.step(n, done)
-                            gate = matrix.tolist()
+                        if done <= 2 or schedule.kind is ScheduleKind.ADAPTIVE:
+                            run.theta, matrix = schedule.step(n, done)
+                            run.gate = matrix.tolist()
+                        amps = run.amps
                         amps[flips] *= -1.0
-                        amps = _diffuse(amps, views, gate, schedule.rotation_target)
+                        _diffuse(amps, views, run.gate, schedule.rotation_target)
                         total = float(np.vdot(amps, amps))
                         if not abs(total - 1.0) < 1e-10:
-                            raise NormDriftError(
-                                f"statevector norm drifted to {total!r} at iteration {done}"
-                            )
-                    natural = amps if reversal is None else amps.take(reversal, out=spare, mode="clip")
-                    record = IterationRecord(
-                        iteration=i,
-                        theta_used=theta,
-                        target_probability=_probability(natural, marked),
-                        mean_amplitude=float(np.add.reduce(natural)) / natural.size,
-                    )
-                except BaseException:
-                    amps = None
-                    _STORE.drop(key)
-                    raise
-                _STORE.extend(key, record)
-            yield record
-    finally:
-        if amps is not None:
-            _STORE.pause(key, done, amps)
+                            raise NormDriftError(f"statevector norm drifted to {total!r} at iteration {done}")
+                        natural = amps if reversal is None else amps.take(reversal, out=spare, mode="clip")
+                        record = IterationRecord(
+                            iteration=done,
+                            theta_used=run.theta,
+                            target_probability=_probability(natural, marked),
+                            mean_amplitude=float(np.add.reduce(natural)) / natural.size,
+                        )
+                        _STORE.grow(run, record)
+                    except BaseException:
+                        run.failed = True
+                        _STORE.drop(key)
+                        raise
+        yield run.records[i - 1]

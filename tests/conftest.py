@@ -49,7 +49,7 @@ def hadamard(src: np.ndarray, out: np.ndarray, spare: np.ndarray, *, last_entry:
 
 
 def clear_run_store():
-    """Forget every run of grover's run store, records and paused registers."""
+    """Forget every run of grover's run store, records and registers."""
     grover._STORE.clear()
 
 

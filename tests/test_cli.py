@@ -257,9 +257,9 @@ class TestAnglesCommand:
         # Every job, in one process from an empty run store, as
         # reproduce_results.py runs them: the sweeps simulate each run
         # once; the n = 5 traces read their records, and the n = 13 curves
-        # read theirs and go on from the paused registers. The angle
-        # tables make no diffusion. Without pausing a pass makes 1,057,
-        # and rerunning every run 1,064, 505 of them at n = 13.
+        # read theirs and go on extending the stored runs' registers. The
+        # angle tables make no diffusion. Without stored registers a pass
+        # makes 1,057, and rerunning every run 1,064, 505 of them at n = 13.
         calls = []
         real = grover._diffuse
 

@@ -691,20 +691,51 @@ def store_key(config):
 
 
 def check_store_bytes():
-    """The store's byte count equals what it holds, within its budget."""
+    """The store's byte count equals what its runs hold, within its budget,
+    and every run it holds is marked kept."""
     store = grover._STORE
     held = sum(
-        len(marked) * store.MARKED_BYTES + len(records) * store.RECORD_BYTES
-        for (_, marked, _), records in store.runs.items()
+        len(marked) * store.MARKED_BYTES + len(run.records) * store.RECORD_BYTES + run.amps.nbytes
+        for (_, marked, _), run in store.runs.items()
     )
-    held += sum(r.nbytes for _, r in store.paused.values())
     assert store.bytes == held <= store.BYTES
-    assert store.paused.keys() <= store.runs.keys()
+    assert all(run.kept for run in store.runs.values())
+
+
+@pytest.fixture
+def checked_store(monkeypatch):
+    """grover's run store, checked with check_store_bytes after every
+    lookup and every record it stores."""
+    store = grover._STORE
+    for name in ("run", "grow"):
+        real = getattr(store, name)
+
+        def checked(*args, real=real):
+            got = real(*args)
+            check_store_bytes()
+            return got
+
+        monkeypatch.setattr(store, name, checked)
+    return store
+
+
+def counted_diffusions(monkeypatch):
+    """The list that each later grover._diffuse call appends its n to."""
+    calls = []
+    real = grover._diffuse
+
+    def counted(src, *args):
+        calls.append(src.size.bit_length() - 1)
+        return real(src, *args)
+
+    monkeypatch.setattr(grover, "_diffuse", counted)
+    return calls
 
 
 class TestRunStore:
-    """Runs of one (n, marked, schedule) share their records and resume a
-    paused register; every reader gets a cold run's bytes."""
+    """Runs of one (n, marked, schedule) share one run of the store, whose
+    register its readers extend in turn; every reader gets a cold run's
+    bytes."""
 
     @pytest.mark.parametrize("window", ["shorter", "equal", "longer", "longer-evicted"])
     @pytest.mark.parametrize("n", [5, 9])
@@ -717,19 +748,22 @@ class TestRunStore:
         expected = cold_record_bytes(config)
         assert len(list(itertools.islice(iterate_grover(full), held))) == held
         key = store_key(config)
-        assert len(grover._STORE.runs[key]) == held and key in grover._STORE.paused
+        run = grover._STORE.runs[key]
+        assert len(run.records) == held
         if window == "longer-evicted":
-            assert grover._STORE.take(key, held) is not None
+            grover._STORE.drop(key)
+            assert not run.kept
         assert record_bytes(iterate_grover(config)) == expected
-        assert len(grover._STORE.runs[key]) == max(held, length)
+        if window == "longer-evicted":
+            assert len(run.records) == held and len(grover._STORE.runs[key].records) == length
+        else:
+            assert grover._STORE.runs[key] is run and len(run.records) == max(held, length)
         check_store_bytes()
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     def test_interleaved_readers_get_cold_bytes(self, schedule):
-        # The first reader extends the run and holds its register; the
-        # second reads those records, then starts over and extends past
-        # them; the first goes on in its own register, simulating again
-        # the records the second stored.
+        # Both readers share the run: each yields the records the other
+        # stored and extends its register past them.
         config = GroverConfig(9, schedule=schedule)
         expected = cold_record_bytes(config)
         readers = iterate_grover(config), iterate_grover(config)
@@ -739,95 +773,41 @@ class TestRunStore:
         assert record_bytes(got[0]) == record_bytes(got[1]) == expected
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
-    def test_reader_holding_a_register_takes_no_other(self, schedule, monkeypatch):
-        # The short reader pauses its register at iteration 5 while the
-        # long reader holds its own at iteration 1: the long reader goes on
-        # from its own. Each simulating reader calls take once, before its
-        # first simulated iteration.
-        config = GroverConfig(5, schedule=schedule, max_iterations=20)
+    def test_interleaved_readers_make_each_iteration_once(self, schedule, monkeypatch):
+        # Two readers of one n = 9 run take turns, one record at a time and
+        # then in runs of several: together they make the run's 36
+        # diffusions, each once, in its one register.
+        config = GroverConfig(9, schedule=schedule)
         expected = cold_record_bytes(config)
-        takes = []
-        real = grover._STORE.take
-
-        def counted(key, held):
-            takes.append(held)
-            return real(key, held)
-
-        monkeypatch.setattr(grover._STORE, "take", counted)
-        long_reader = iterate_grover(config)
-        first = next(long_reader)
-        assert len(list(iterate_grover(dataclasses.replace(config, max_iterations=5)))) == 5
-        assert grover._STORE.paused[store_key(config)][0] == 5
-        assert record_bytes([first, *long_reader]) == expected
-        assert takes == [0, 1]
+        calls = counted_diffusions(monkeypatch)
+        readers = iterate_grover(config), iterate_grover(config)
+        got = [], []
+        for which, count in [(0, 1), (1, 1), (1, 1), (0, 1), (0, 2), (1, 7), (0, 10), (1, 40), (0, 40)]:
+            got[which].extend(itertools.islice(readers[which], count))
+        assert record_bytes(got[0]) == record_bytes(got[1]) == expected
+        assert len(calls) == config.max_iterations == 36
+        assert len(grover._STORE.runs[store_key(config)].records) == 36
 
     @pytest.mark.parametrize("simulated", [True, False], ids=["own-register", "no-register"])
-    def test_reader_of_an_evicted_run_reads_its_successor(self, simulated):
-        # The run is evicted under a live reader and simulated again past
-        # it. A reader that holds its own register goes on in it; one that
-        # holds none yields the new entry's records and goes on from its
-        # paused register.
+    def test_reader_of_an_evicted_run_goes_on_in_it(self, simulated):
+        # The run is evicted under a live reader, and a new reader starts
+        # its successor. The live reader goes on in the evicted run alone,
+        # whether it extended that run or only read its records.
         config = GroverConfig(9, schedule=Schedule(ScheduleKind.HYBRID))
         expected = cold_record_bytes(config)
         if not simulated:
             list(itertools.islice(iterate_grover(config), 3))
         reader = iterate_grover(config)
         got = list(itertools.islice(reader, 3))
+        evicted = grover._STORE.runs[store_key(config)]
         grover._STORE.drop(store_key(config))
         assert len(list(itertools.islice(iterate_grover(config), 6))) == 6
-        assert grover._STORE.paused[store_key(config)][0] == 6
+        successor = grover._STORE.runs[store_key(config)]
         got.extend(reader)
         assert record_bytes(got) == expected
+        assert len(evicted.records) == config.max_iterations and not evicted.kept
+        assert len(successor.records) == 6 and successor.kept
         check_store_bytes()
-
-    def test_register_paused_behind_the_records_resumes_from_its_count(self, monkeypatch):
-        # A reader stopped (here closed; the cycle collector may do it at
-        # any allocation) while another's step is under way pauses a
-        # register one record behind once that step lands: the next reader
-        # must go on from the iteration count stored with it.
-        config = GroverConfig(9)
-        expected = cold_record_bytes(config)
-        ahead, behind = iterate_grover(config), iterate_grover(config)
-        assert len(list(itertools.islice(ahead, 3))) == len(list(itertools.islice(behind, 3))) == 3
-        real = grover._diffuse
-
-        def closing_ahead(*args):
-            ahead.close()
-            return real(*args)
-
-        monkeypatch.setattr(grover, "_diffuse", closing_ahead)
-        assert next(behind).iteration == 4
-        monkeypatch.undo()
-        assert grover._STORE.paused[store_key(config)][0] == 3
-        # behind's own register is further on than the paused one.
-        assert next(behind).iteration == 5
-        assert grover._STORE.paused[store_key(config)][0] == 3
-        assert record_bytes(iterate_grover(config)) == expected
-
-    def test_register_paused_past_a_reader_is_not_taken(self, monkeypatch):
-        # Another thread may take the register paused at 4, extend the run
-        # and pause its register between a reader's lookup of record 5 and
-        # its one take: that register holds iterations the reader has yet
-        # to yield, so it must not be taken.
-        config = GroverConfig(9)
-        expected = cold_record_bytes(config)
-        assert len(list(itertools.islice(iterate_grover(config), 4))) == 4
-        real = grover._STORE.take
-        taken = []  # the iterations of each register taken, None if none
-
-        def racing(key, held):
-            if not taken:
-                taken.append("raced")
-                # This reader takes the register paused at 4 through here.
-                assert len(list(iterate_grover(config))) == config.max_iterations
-            got = real(key, held)
-            taken.append(None if got is None else got[0])
-            return got
-
-        monkeypatch.setattr(grover._STORE, "take", racing)
-        assert record_bytes(iterate_grover(config)) == expected
-        assert taken == ["raced", 4, None]
-        assert grover._STORE.paused[store_key(config)][0] == config.max_iterations
 
     def test_failed_run_leaves_no_entry(self, monkeypatch):
         # Each reader's kernel drifts from its third diffusion on; the first
@@ -850,11 +830,39 @@ class TestRunStore:
             with pytest.raises(NormDriftError, match="at iteration 3$"):
                 next(records)
             assert store_key(config) not in grover._STORE.runs
-            assert store_key(config) not in grover._STORE.paused
             check_store_bytes()
 
+    def test_other_reader_of_a_failed_run_goes_on_with_cold_bytes(self, monkeypatch):
+        # One reader's iteration 3 drifts and fails the shared run, whose
+        # register it has scaled. The other reader, which shares the run's
+        # two records, never extends it: it starts the key's new run.
+        config = GroverConfig(5, schedule=Schedule(ScheduleKind.HYBRID))
+        expected = cold_record_bytes(config)
+        failing, other = iterate_grover(config), iterate_grover(config)
+        got = list(itertools.islice(other, 2))
+        assert [r.iteration for r in itertools.islice(failing, 2)] == [1, 2]
+        failed = grover._STORE.runs[store_key(config)]
+        real = grover._diffuse
+
+        def drifting(src, views, m, target):
+            amps = real(src, views, m, target)
+            amps *= 1.001
+            return amps
+
+        monkeypatch.setattr(grover, "_diffuse", drifting)
+        with pytest.raises(NormDriftError, match="at iteration 3$"):
+            next(failing)
+        monkeypatch.undo()
+        assert failed.failed and not failed.kept and store_key(config) not in grover._STORE.runs
+        got.extend(other)
+        assert record_bytes(got) == expected
+        assert len(failed.records) == 2
+        assert len(grover._STORE.runs[store_key(config)].records) == config.max_iterations
+        check_store_bytes()
+
     def test_no_register_of_n14_outlives_its_run(self, cli):
-        # n = 13 pauses; n = 14, 16 and 20 keep their records only.
+        # The store keeps the n = 13 run; the n = 14, 16 and 20 runs belong
+        # to their readers alone, records and register.
         for args in [
             ("--qubits", 13, "--iterations", 20),
             ("--qubits", 14, "--iterations", 3),
@@ -862,53 +870,38 @@ class TestRunStore:
             ("--qubits", 20, "--iterations", 3, "--schedule", "hybrid-eq11-12"),
         ]:
             assert cli("run", *args).exit_code == 0
-        assert sorted(n for n, _, _ in grover._STORE.runs) == [13, 14, 16, 20]
-        assert [n for n, _, _ in grover._STORE.paused] == [13]
+        assert [n for n, _, _ in grover._STORE.runs] == [13]
         check_store_bytes()
 
-    def test_paused_registers_stay_within_the_budget(self, monkeypatch):
+    def test_registers_stay_within_the_budget(self, checked_store):
         # Each n = 13 run of three iterations holds 66,176 B: its 64 KiB
-        # register, three records and its key. The twentieth run's pause
-        # evicts the first run whole. A run that takes its register back
-        # and pauses it again is the most recently used, so the next
-        # eviction passes it by.
-        store = grover._STORE
+        # register, three records and its key. The twentieth run evicts the
+        # first whole. A run looked up again is the most recently used, so
+        # the next eviction passes it by.
+        store = checked_store
         configs = [GroverConfig(13, {j}, max_iterations=3) for j in range(20)]
         expected = cold_record_bytes(configs[0])
-        real = store.pause
-
-        def checked(key, done, register):
-            real(key, done, register)
-            check_store_bytes()
-
-        monkeypatch.setattr(store, "pause", checked)
         for config in configs:
             assert len(list(iterate_grover(config))) == 3
         assert store.BYTES == (1 << 20) + (1 << 18)
         assert [marked for _, marked, _ in store.runs] == [(j,) for j in range(1, 20)]
-        assert store.paused.keys() == store.runs.keys()
+        assert store.bytes == 19 * 66_176
         assert len(list(iterate_grover(dataclasses.replace(configs[1], max_iterations=4)))) == 4
         assert record_bytes(iterate_grover(configs[0])) == expected
         assert [marked for _, marked, _ in store.runs] == [(j,) for j in range(3, 20)] + [(1,), (0,)]
-        assert store.paused[store_key(configs[1])][0] == 4
+        assert len(store.runs[store_key(configs[1])].records) == 4
 
-    def test_records_stay_within_the_budget(self, monkeypatch):
+    def test_records_stay_within_the_budget(self, checked_store):
         # Each scanned run holds 300,296 B of records, key and register:
         # the fifth evicts the least recently used, and the evicted run
         # reads its cold bytes again.
-        store = grover._STORE
+        store = checked_store
         configs = [GroverConfig(5, {j}, max_iterations=1500) for j in range(5)]
         expected = cold_record_bytes(configs[0])
-        real = store.extend
-
-        def checked(key, record):
-            real(key, record)
-            check_store_bytes()
-
-        monkeypatch.setattr(store, "extend", checked)
         for config in configs:
             assert len(list(iterate_grover(config))) == 1500
         assert [marked for _, marked, _ in store.runs] == [(1,), (2,), (3,), (4,)]
+        assert store.bytes == 4 * 300_296
         assert store.BYTES == (1 << 20) + (1 << 18)
         assert record_bytes(iterate_grover(configs[0])) == expected
         assert [marked for _, marked, _ in store.runs] == [(2,), (3,), (4,), (0,)]
@@ -919,37 +912,32 @@ class TestRunStore:
             # Grows past the budget record by record: first it evicts the
             # n = 5 run, the least recently used, then itself.
             pytest.param(GroverConfig(3, max_iterations=7000), [], id="long-window"),
-            # Its key alone, 1.6 MB, is past the budget: not kept from
-            # record 1.
+            # Its key alone, 1.6 MB, would be past the budget, but the
+            # store keeps no n = 16 run: the n = 5 run stays.
             pytest.param(GroverConfig(16, range(40_000), max_iterations=2), [5], id="large-marked-set"),
         ],
     )
-    def test_run_past_the_budget_is_not_kept(self, config, kept, monkeypatch):
-        store = grover._STORE
+    def test_run_past_the_budget_is_not_kept(self, config, kept, checked_store):
         list(itertools.islice(iterate_grover(GroverConfig(5)), 3))
-        real = store.extend
-
-        def checked(key, record):
-            real(key, record)
-            check_store_bytes()
-
-        monkeypatch.setattr(store, "extend", checked)
         assert len(list(iterate_grover(config))) == config.max_iterations
-        assert [n for n, _, _ in store.runs] == [n for n, _, _ in store.paused] == kept
+        assert [n for n, _, _ in checked_store.runs] == kept
 
-    def test_readers_in_threads_share_the_store(self):
+    def test_readers_in_threads_share_the_store(self, monkeypatch):
         # Eight threads read each schedule's n = 9 run twice over, with
-        # different windows, through one store.
+        # different windows, through one store: each run's 19 iterations
+        # are made once.
         configs = [
             GroverConfig(9, schedule=schedule, max_iterations=length)
             for schedule in SCHEDULES
             for length in (7, 19)
         ]
         expected = [cold_record_bytes(config) for config in configs]
+        calls = counted_diffusions(monkeypatch)
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             for _ in range(2):
                 got = list(pool.map(lambda config: record_bytes(iterate_grover(config)), configs))
                 assert got == expected
+        assert len(calls) == 19 * len(SCHEDULES)
         check_store_bytes()
 
 

@@ -138,3 +138,26 @@ def test_replay_shims_run_the_checkout(tmp_path):
     assert done.stdout.startswith("groversim")
     done = subprocess.run(["python", "-c", "import sys; print(sys.executable)"], env=env, capture_output=True, text=True)
     assert done.stdout.strip() == sys.executable
+
+
+def worktrees() -> str:
+    return subprocess.run(["git", "worktree", "list"], cwd=REPO_DIR, capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["--bogus"], 2)], ids=["help", "unknown"])
+def test_replay_reads_its_arguments_before_replaying(args, code):
+    # --help prints the usage and exits 0, an unknown argument exits 2;
+    # neither adds a worktree or replays a step.
+    before = worktrees()
+    done = subprocess.run(
+        [sys.executable, str(REPO_DIR / "scripts" / "replay_ci.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    output = done.stdout + done.stderr
+    assert done.returncode == code, output
+    assert output.startswith("usage: replay_ci.py")
+    assert ("Replay the jobs of" in output) == (code == 0)
+    assert "steps passed" not in output and "steps failed" not in output
+    assert worktrees() == before
