@@ -543,9 +543,9 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     _diffuse leaves its result in the register. A register the store may
     keep (n <= 13) is held bit-reversed, and each readout gathers it into
     natural order in the spare buffer through _bit_reversal's cached
-    index array; larger ones are held in natural order. The records are byte-identical to those of
-    re-simulating each iteration with the oracle, diffusion and readout of
-    tests/oracle.py on a complex register. GroverConfig stores the marked
+    index array; larger ones are held in natural order. The records are
+    byte-identical to those of re-simulating each iteration with the
+    oracle, diffusion and readout of tests/oracle.py on a complex register. GroverConfig stores the marked
     indices sorted, so the readout sums them in ascending order, and the
     rotation target resolved (None as n - 1). The mean is np.mean's
     pairwise sum over the natural order, divided by N.
