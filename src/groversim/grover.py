@@ -13,11 +13,11 @@ iterate_grover builds the views of its two buffers once per run
 (_diffusion_views), and the readers of one (n_qubits, marked, schedule)
 share one run of the run store: each yields the stored records and
 extends the run's one register in turn. One budget of 1.25 MiB bounds the
-runs it keeps, and it keeps none past n = 13. The registers it may
-keep run in bit-reversed order, where each Hadamard layer reads two
-contiguous half-register streams, and are read out in natural order;
-larger ones run in natural order (_layer_views gives both plans and the
-bound's reasons). The records are the same bytes either way.
+runs it keeps, and it keeps none past n = 13. Registers up to n = 17 run
+in bit-reversed order, where each Hadamard layer reads two contiguous
+half-register streams, and are read out in natural order; larger ones run
+in natural order (_layer_views gives both plans, _RunStore.REVERSED_BYTES
+the bound's reasons). The records are the same bytes either way.
 
 Gate-name convention: constructor names list the factors in application
 order, so gate_zr_y(t) applies Z then R_y(t) (matrix R_y(t) @ Z) and
@@ -264,12 +264,11 @@ def _layer_views(
     and writes it as the lowest bit through its destination viewed as
     (N/2, 2). After n layers the layout is bit-reversed again. Each output
     entry is the same two-term product as in the natural plan, so the two
-    plans' bytes are equal. iterate_grover takes it for the registers the
-    run store may keep (n <= 13, _RunStore.REGISTER_BYTES), where it is
-    faster. Larger registers keep the natural plan, for two reasons: the
-    reversed readout gathers through an index array as large as the
-    register, a third register beside the run's two, and from n = 19 on
-    the reversed layers run about 1.9x slower.
+    plans' bytes are equal. iterate_grover takes it for registers up to
+    n = 17 (_RunStore.REVERSED_BYTES), where it is faster, readout
+    included. Larger registers keep the natural plan: at n = 18 its
+    threaded dgemm beats the reversed layers and their readout, and from
+    n = 19 on the reversed layers alone run about 1.9x slower.
 
     With last_entry (natural plan only), the views are windows that
     compute only entry N - 1 of the result (the rest is scratch). Each
@@ -343,6 +342,14 @@ def _hadamard_layers(src: np.ndarray, layers: _Layers) -> np.ndarray:
     for a, b, y in rest:
         np.matmul(a, b, out=y)
     return result
+
+
+def _reverse_bits(indices: np.ndarray, n_qubits: int) -> np.ndarray:
+    """_bit_reversal(n_qubits)[indices], without that register-sized array."""
+    out = np.zeros_like(indices)
+    for q in range(n_qubits):
+        out |= (indices >> q & 1) << (n_qubits - 1 - q)
+    return out
 
 
 @functools.cache
@@ -464,6 +471,14 @@ class _RunStore:
     """
 
     REGISTER_BYTES = 8 << 13
+    # iterate_grover runs registers up to 1 MiB (n <= 17) bit-reversed
+    # (_layer_views). There a reversed diffusion and its readout copy take
+    # about two thirds of the natural diffusion's time (4.8 against 6.3 ms
+    # at n = 17, on a 2-core Xeon with OpenBLAS's default core). At n = 18
+    # they take longer than the natural plan's threaded dgemm (10.5
+    # against 8.3 ms), and from n = 19 on the reversed layers alone run
+    # about 1.9x slower.
+    REVERSED_BYTES = 8 << 17
     RECORD_BYTES = 200
     MARKED_BYTES = 40
     BYTES = (1 << 20) + (1 << 18)
@@ -540,22 +555,37 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
     A reader builds a spare float64 register-sized buffer and the views of
     it and the run's register (_diffusion_views) once for each run it
     extends: the oracle negates the marked amplitudes in place, and
-    _diffuse leaves its result in the register. A register the store may
-    keep (n <= 13) is held bit-reversed, and each readout gathers it into
-    natural order in the spare buffer through _bit_reversal's cached
-    index array; larger ones are held in natural order. The records are
-    byte-identical to those of re-simulating each iteration with the
-    oracle, diffusion and readout of tests/oracle.py on a complex register. GroverConfig stores the marked
-    indices sorted, so the readout sums them in ascending order, and the
-    rotation target resolved (None as n - 1). The mean is np.mean's
-    pairwise sum over the natural order, divided by N.
+    _diffuse leaves its result in the register. Registers up to n = 17
+    are held bit-reversed, with the marked indices mapped into that
+    order, and each readout puts the register into natural order in the
+    spare buffer: a register the store may keep (n <= 13) is gathered
+    through _bit_reversal's cached index array, a larger one copied
+    through its (2,)*n view with the axes reversed, which needs no index
+    array. Larger registers are held in natural order. Up to n = 13 the
+    norm is np.vdot, which OpenBLAS runs on one thread there; from n = 14
+    on it is a BLAS-free sum, so no run wakes a BLAS thread to check it.
+
+    The records are byte-identical to those of re-simulating each
+    iteration with the oracle, diffusion and readout of tests/oracle.py
+    on a complex register. GroverConfig stores the marked indices sorted,
+    so the readout sums their probabilities in ascending order of index,
+    in every plan, and the rotation target resolved (None as n - 1). The
+    mean is np.mean's pairwise sum over the natural order, divided by N.
     """
     n = config.n_qubits
     schedule = config.schedule
     marked = np.array(config.marked, dtype=np.int64)
-    # The registers the store may keep run bit-reversed (_layer_views).
-    reversal = _bit_reversal(n) if 8 << n <= _RunStore.REGISTER_BYTES else None
-    flips = marked if reversal is None else reversal[marked]
+    bit_reversed = 8 << n <= _RunStore.REVERSED_BYTES
+    # OpenBLAS threads ddot above 10,000 entries, so np.vdot is kept for
+    # the registers the store may keep, where it is the fastest sum.
+    small = 8 << n <= _RunStore.REGISTER_BYTES
+    if small:
+        reversal = _bit_reversal(n)
+        flips = reversal[marked]
+    elif bit_reversed:
+        flips = _reverse_bits(marked, n)
+    else:
+        flips = marked
     key = (n, config.marked, schedule)
     run, extended = _STORE.run(key), None  # extended: the run `views` serve
     for i in range(1, config.max_iterations + 1):
@@ -567,7 +597,11 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
                 elif done <= i:  # else another reader extended the run meanwhile
                     if extended is not run:
                         extended, spare = run, np.empty_like(run.amps)
-                        views = _diffusion_views(run.amps, spare, bit_reversed=reversal is not None)
+                        views = _diffusion_views(run.amps, spare, bit_reversed=bit_reversed)
+                        if bit_reversed and not small:
+                            # spare, and the register with its bit order reversed
+                            cube = (2,) * n
+                            unreversed = spare.reshape(cube), run.amps.reshape(cube).transpose(range(n)[::-1])
                     try:
                         # Only the adaptive gate changes after iteration 2
                         # (Schedule.step).
@@ -577,14 +611,20 @@ def iterate_grover(config: GroverConfig) -> Iterator[IterationRecord]:
                         amps = run.amps
                         amps[flips] *= -1.0
                         _diffuse(amps, views, run.gate, schedule.rotation_target)
-                        total = float(np.vdot(amps, amps))
+                        total = float(np.vdot(amps, amps) if small else np.einsum("i,i->", amps, amps))
                         if not abs(total - 1.0) < 1e-10:
                             raise NormDriftError(f"statevector norm drifted to {total!r} at iteration {done}")
-                        natural = amps if reversal is None else amps.take(reversal, out=spare, mode="clip")
+                        if small:
+                            natural = amps.take(reversal, out=spare, mode="clip")
+                        elif bit_reversed:
+                            natural = spare
+                            np.copyto(*unreversed)
+                        else:
+                            natural = amps
                         record = IterationRecord(
                             iteration=done,
                             theta_used=run.theta,
-                            target_probability=_probability(natural, marked),
+                            target_probability=_probability(amps, flips),
                             mean_amplitude=float(np.add.reduce(natural)) / natural.size,
                         )
                         _STORE.grow(run, record)

@@ -298,10 +298,13 @@ class TestDiffusion:
         assert peak - start <= 64 * 1024
 
     @pytest.mark.parametrize("schedule", [Schedule(), Schedule(ScheduleKind.HYBRID)], ids=Schedule.describe)
-    def test_run_peak_memory_is_two_registers(self, schedule):
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_run_peak_memory_is_two_registers(self, schedule, n):
         # A whole run holds its register and one scratch buffer: the oracle
-        # flips in place and each diffusion reuses both buffers.
-        config = GroverConfig(16, None, schedule, 4)
+        # flips in place, each diffusion reuses both buffers, and each
+        # readout copies the bit-reversed register into natural order in
+        # the scratch buffer, through a transposed view.
+        config = GroverConfig(n, None, schedule, 4)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -310,8 +313,17 @@ class TestDiffusion:
         finally:
             tracemalloc.stop()
         assert len(records) == 4
-        register = 8 << 16  # float64 amplitudes
+        register = 8 << n  # float64 amplitudes
         assert peak - start <= 2 * register + 64 * 1024
+
+    @pytest.mark.parametrize("n", [14, 17, 18])
+    def test_large_run_builds_no_index_array(self, monkeypatch, n):
+        # Past the run store's bound no run calls _bit_reversal, so its
+        # cache holds no index array larger than 64 KiB.
+        calls = spy_bit_reversal(monkeypatch)
+        config = GroverConfig(n, {1, (1 << n) - 2}, Schedule(ScheduleKind.HYBRID), 2)
+        assert len(list(iterate_grover(config))) == 2
+        assert calls == []
 
     @pytest.mark.parametrize("schedule", [Schedule(), Schedule(ScheduleKind.HYBRID)], ids=Schedule.describe)
     def test_bit_reversed_run_peak_memory_is_two_registers(self, schedule):
@@ -331,6 +343,19 @@ class TestDiffusion:
         assert len(records) == 4
         register = 8 << 13
         assert peak - start <= 2 * register + register // 2
+
+
+def spy_bit_reversal(monkeypatch):
+    """Record the n_qubits of every grover._bit_reversal call."""
+    calls = []
+    real = grover._bit_reversal
+
+    def spied(n_qubits):
+        calls.append(n_qubits)
+        return real(n_qubits)
+
+    monkeypatch.setattr(grover, "_bit_reversal", spied)
+    return calls
 
 
 def layer_test_amps(family, n, rng):
@@ -650,11 +675,9 @@ class TestIterateGrover:
         config = GroverConfig(n, indices, schedule)
         assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
 
-    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
-    @pytest.mark.parametrize("n", [13, 14])
-    def test_records_equal_oracle_on_either_side_of_the_plan_bound(self, monkeypatch, schedule, n):
-        # n = 13 runs bit-reversed, n = 14 in natural order. The marked
-        # set holds the pair (2**t, 0) and indices that bit reversal moves.
+    @staticmethod
+    def spy_plans(monkeypatch):
+        """Record the plan of every _diffusion_views call iterate_grover makes."""
         plans = []
         real = grover._diffusion_views
 
@@ -663,10 +686,41 @@ class TestIterateGrover:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(grover, "_diffusion_views", spied)
+        return plans
+
+    @staticmethod
+    def bound_config(n, schedule, iterations):
+        """A run whose marked set holds the pair (2**t, 0) and indices that
+        bit reversal moves."""
         target = n - 1 if schedule.rotation_target is None else schedule.rotation_target
-        config = GroverConfig(n, {0, 1, 1 << target, (1 << n) - 2}, schedule, 8)
+        return GroverConfig(n, {0, 1, 1 << target, (1 << n) - 2}, schedule, iterations)
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_records_equal_oracle_on_either_side_of_the_plan_bound(self, monkeypatch, schedule, n):
+        # Both run bit-reversed, on either side of the readout's bound:
+        # n = 13 gathers through _bit_reversal's index array, n = 14 copies
+        # through a transposed view and maps its marked indices without it.
+        plans = self.spy_plans(monkeypatch)
+        gathers = spy_bit_reversal(monkeypatch)
+        config = self.bound_config(n, schedule, 8)
         assert record_bytes(iterate_grover(config)) == record_bytes(oracle_records(config))
-        assert plans == [n <= 13]
+        assert plans == [True]
+        assert gathers == ([13] if n == 13 else [])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_records_equal_natural_plan_on_either_side_of_the_plan_bound(self, monkeypatch, schedule, n):
+        # n = 17 runs bit-reversed, n = 18 in natural order; each equals
+        # the same run forced onto the natural plan (the dense oracle is
+        # too slow here).
+        config = self.bound_config(n, schedule, 3)
+        with monkeypatch.context() as forced:
+            forced.setattr(grover._RunStore, "REVERSED_BYTES", 0)
+            natural = record_bytes(iterate_grover(config))
+        plans = self.spy_plans(monkeypatch)
+        assert record_bytes(iterate_grover(config)) == natural
+        assert plans == [n <= 17]
 
     @pytest.mark.parametrize("schedule", SCHEDULES, ids=Schedule.describe)
     def test_stopping_early_yields_a_prefix(self, schedule):
@@ -1017,11 +1071,14 @@ class TestNormDrift:
         monkeypatch.setattr(grover, "_diffuse", diffusion)
         return calls
 
-    def test_drift_raises(self, monkeypatch):
+    # The norm is np.vdot up to n = 13 and a BLAS-free sum from n = 14 on,
+    # in the bit-reversed plan at n = 16 and the natural one at n = 18.
+    @pytest.mark.parametrize("n", [4, 16, 18])
+    def test_drift_raises(self, monkeypatch, n):
         calls = self.scale_diffusion(monkeypatch, 1.001)
         with pytest.raises(NormDriftError, match="norm drifted"):
-            list(iterate_grover(GroverConfig(4, max_iterations=3)))
-        assert calls == [3]
+            list(iterate_grover(GroverConfig(n, max_iterations=3)))
+        assert calls == [n - 1]
 
     def test_drift_raises_from_the_generator(self, monkeypatch):
         calls = self.scale_diffusion(monkeypatch, 1.001)
@@ -1030,12 +1087,13 @@ class TestNormDrift:
             next(records)
         assert calls == [3]
 
-    def test_drift_inside_tolerance_passes(self, monkeypatch):
+    @pytest.mark.parametrize("n", [4, 16, 18])
+    def test_drift_inside_tolerance_passes(self, monkeypatch, n):
         factor = math.sqrt(1.0 + 5e-11)
         calls = self.scale_diffusion(monkeypatch, factor)
-        records = list(iterate_grover(GroverConfig(4, max_iterations=1)))
+        records = list(iterate_grover(GroverConfig(n, max_iterations=1)))
         assert len(records) == 1
-        assert calls == [3]
+        assert calls == [n - 1]
 
     def test_drift_raises_under_optimize_flag(self):
         script = textwrap.dedent(
